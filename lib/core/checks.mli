@@ -73,10 +73,6 @@ type report = {
           check ran under {!run_escalating} *)
 }
 
-type Bmc.Reuse.memo_value += Memo_report of report
-(** How {!run} stores decided reports in a reuse context's memo table
-    (exposed so tests and tooling can inspect cache contents). *)
-
 (** Every check takes [?simplify] (default {!Bmc.default_simplify})
     selecting the formula-shrinking stages of its BMC engine; pass
     {!Bmc.no_simplify} (or a partial configuration) for ablation. [?mono]
@@ -86,17 +82,14 @@ type Bmc.Reuse.memo_value += Memo_report of report
     the pipeline (see {!Bmc.Engine.create}). [?limits] (default
     {!Bmc.no_limits}) governs the engine's resources: per-query budget,
     cancellation token, restart seed and fault hook; an exhausted budget
-    or fired token yields an [Unknown] verdict. [?reuse] attaches the
-    check's engines to a shared {!Bmc.Reuse} context, enabling cross-query
-    learnt-clause transfer (and, in {!run}, whole-verdict memoization)
-    across the checks of a matrix run. The decided verdict is independent
-    of every knob — the bench harness and the fuzz oracle enforce this. *)
+    or fired token yields an [Unknown] verdict. The decided verdict is
+    independent of every knob — the bench harness and the fuzz oracle
+    enforce this. *)
 
 val aqed_fc :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -106,7 +99,6 @@ val gqed :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -116,7 +108,6 @@ val gqed_output_only :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -126,7 +117,6 @@ val sa_check :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -136,7 +126,6 @@ val stability_check :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -150,7 +139,6 @@ val reset_check :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   report
@@ -162,7 +150,6 @@ val flow :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   Rtl.design ->
   Iface.t ->
   bound:int ->
@@ -181,7 +168,6 @@ val run :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   technique ->
   Rtl.design ->
   Iface.t ->
@@ -195,7 +181,6 @@ val run_escalating :
   ?simplify:Bmc.simplify_config ->
   ?mono:bool ->
   ?limits:Bmc.limits ->
-  ?reuse:Bmc.Reuse.ctx ->
   technique ->
   Rtl.design ->
   Iface.t ->
@@ -218,12 +203,12 @@ val run_escalating :
     keys whose journaled report decodes and is decided. *)
 
 val campaign_key : technique -> Rtl.design -> Iface.t -> bound:int -> string
-(** Canonical task identity — technique, bound and structural digests of
-    the design and interface; the same construction the [Bmc.Reuse] memo
-    table uses. [simplify]/[mono]/[limits] are deliberately excluded:
-    every pipeline stage and solving lane is verdict-preserving, so a
-    verdict recorded under one configuration answers the same query
-    under any other. *)
+(** Canonical task identity — technique, bound and structural digests
+    (MD5 of the [Marshal] image) of the design and interface. The
+    construction is frozen: existing journals are keyed by it.
+    [simplify]/[mono]/[limits] are deliberately excluded: every pipeline
+    stage and solving lane is verdict-preserving, so a verdict recorded
+    under one configuration answers the same query under any other. *)
 
 val campaign_hint : Rtl.design -> bound:int -> float
 (** Cold-start hardness estimate for a campaign cell — unrolled problem
@@ -242,8 +227,8 @@ val decode_report : string -> report option
 
 val report_decided : report -> bool
 (** [false] exactly for [Unknown] verdicts, which must never be skipped
-    on resume (the resumed run re-attempts them — same rule as "Unknown
-    is never cached" in reuse memoization). *)
+    on resume: the resumed run re-attempts them, since a bigger budget
+    might decide. *)
 
 (** {2 Copy prefixes}
 

@@ -134,16 +134,6 @@ module Oracle : sig
       success, returns the number of certified bounds of the reference
       run. *)
 
-  val reuse_vs_no_reuse :
-    ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
-  (** Cross-query reuse is verdict-invisible: the same safety check run
-      against a shared {!Bmc.Reuse} context — twice, so the second run
-      imports the learnt clauses the first one published — must decide
-      exactly the cold verdict (same proved bound or same counterexample
-      length). With [cert] the warm runs certify their UNSAT bounds, which
-      replays imported lemmas through the DRAT checker. On success,
-      returns the number of certified bounds of the reference run. *)
-
   val checkpoint_resume :
     ?cert:bool -> depth:int -> Random.State.t -> Rtl.design -> (int, string) result
   (** Crash/resume is verdict-invisible: a small campaign of safety checks

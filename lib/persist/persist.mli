@@ -12,9 +12,8 @@
     verdict. See DESIGN.md in this directory for the record format and
     the recovery invariants.
 
-    Records carry the task's wall-clock seconds (format v2); v1 journals
-    load transparently (seconds read back as 0) and are upgraded in place
-    the first time they are opened for appending. *)
+    Records carry the task's wall-clock seconds (format v2). Journals in
+    any other format version are rejected on load. *)
 
 exception Injected_fault of string
 (** Raised by I/O fault hooks standing in for [ENOSPC] / short writes.
@@ -52,8 +51,8 @@ module Journal : sig
             never eligible for skipping on resume *)
     e_payload : string;  (** opaque encoded verdict *)
     e_seconds : float;
-        (** wall-clock seconds the task took; 0 for records replayed from
-            a v1 journal or when the writer did not measure *)
+        (** wall-clock seconds the task took; 0 when the writer did not
+            measure *)
   }
 
   type recovery = {
@@ -66,8 +65,7 @@ module Journal : sig
   (** Replay a journal. A missing header or wrong version is [Error]; a
       0-byte file is a valid empty journal; a torn or CRC-corrupt tail
       is dropped (reported in [recovery], the file itself untouched).
-      Entries are returned in append order, duplicates included. Both
-      the current (v2, timed) and the legacy v1 record formats load. *)
+      Entries are returned in append order, duplicates included. *)
 
   val open_append :
     ?sync:bool ->
@@ -77,8 +75,7 @@ module Journal : sig
   (** Open a journal for appending, creating it (with header) if absent.
       If the existing file has a damaged tail it is truncated on disk
       back to the last valid record before appending resumes, so a
-      recovered journal never carries dead bytes forward. A v1 journal
-      is atomically rewritten in the current format first (seconds 0).
+      recovered journal never carries dead bytes forward.
       [sync] (default true) fsyncs after every append. *)
 
   val append :
@@ -140,9 +137,9 @@ end
 
     A key is skippable iff its {e last} journaled record (last-write-wins)
     is decided — journaled [Unknown] verdicts are replayed into the stats
-    but never returned by {!find_decided}, mirroring the "Unknown is never
-    cached" rule of [Bmc.Reuse]: an Unknown is a budget artifact, not a
-    fact about the design, and the resumed run must re-attempt it. *)
+    but never returned by {!find_decided}: an Unknown is a budget
+    artifact, not a fact about the design, and the resumed run must
+    re-attempt it. *)
 module Campaign : sig
   type t
 

@@ -21,15 +21,6 @@ type event =
   | Input of Lit.t array  (** a problem clause, as passed to [add_clause] *)
   | Add of Lit.t array  (** a derived (RUP) clause; [[||]] is the empty clause *)
   | Delete of Lit.t array  (** a clause removed from the database *)
-  | Import of Lit.t array
-      (** a lemma transferred from another solver over the same shared
-          cone ([Solver.import_lemma]). Treated as an axiom by {!check} —
-          like [Input], not RUP-checked — because a transferred clause need
-          not be propagation-derivable from the receiver's (polarity-reduced)
-          clause set even when it is semantically implied. Its derivation was
-          RUP-checked in the donor's own stream; the cross-stream soundness
-          argument (canonical cone mapping + asserted-root provenance gate)
-          lives in lib/bmc/REUSE.md. *)
 
 type proof = event list
 (** Chronological order (first event first). *)
@@ -55,8 +46,7 @@ val to_string : proof -> string
     skipped. Suitable for external checkers such as [drat-trim]. *)
 
 val formula_to_string : proof -> string
-(** The [Input] (and [Import] — axioms of the stream) events as a DIMACS
-    document, for handing the original formula to an external checker
-    alongside {!to_string}. *)
+(** The [Input] events as a DIMACS document, for handing the original
+    formula to an external checker alongside {!to_string}. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -234,7 +234,7 @@ let solve ?(assumptions = []) ?(budget = Solver.no_budget) ?cancel ?seed ~config
           (if certify then
              List.filter_map
                (function
-                 | ((_, Drat.Add _) | (_, Drat.Import _)) as e -> Some e
+                 | (_, Drat.Add _) as e -> Some e
                  | (_, Drat.Input _) | (_, Drat.Delete _) -> None)
                (Solver.stamped_proof s)
            else []);

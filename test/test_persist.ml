@@ -89,17 +89,31 @@ let test_empty_file_is_valid () =
       let entries, _ = load_ok path in
       Alcotest.(check int) "one entry after append" 1 (List.length entries))
 
+(* A wrong magic, and the header of the retired untimed format v1: both
+   are refused by [load] and [open_append], and the file is left as it
+   was. *)
 let test_bad_header_rejected () =
-  with_tmp "badmagic" (fun path ->
-      let oc = open_out path in
-      output_string oc "NOTAJRNL\x01";
-      close_out oc;
-      (match Persist.Journal.load path with
-      | Ok _ -> Alcotest.fail "load accepted a journal with a wrong magic"
-      | Error _ -> ());
-      match Persist.Journal.open_append path with
-      | Ok _ -> Alcotest.fail "open_append accepted a wrong magic"
-      | Error _ -> ())
+  List.iter
+    (fun (tag, header, expected) ->
+      with_tmp tag (fun path ->
+          let oc = open_out_bin path in
+          output_string oc header;
+          close_out oc;
+          let rejected what = function
+            | Ok _ -> Alcotest.failf "%s accepted a %s header" what tag
+            | Error msg ->
+                if not (contains ~sub:expected msg) then
+                  Alcotest.failf "%s on a %s header: unexpected error %S" what tag msg
+          in
+          rejected "load" (Persist.Journal.load path);
+          rejected "open_append" (Persist.Journal.open_append path);
+          Alcotest.(check string)
+            (tag ^ " file untouched") header
+            (In_channel.with_open_bin path In_channel.input_all)))
+    [
+      ("badmagic", "NOTAJRNL\x01", "bad magic");
+      ("v1", "GQEDJRNL\001", "unsupported journal version 1");
+    ]
 
 let test_missing_file_load_errors () =
   let path = tmp_path "missing" in
@@ -498,10 +512,9 @@ let test_kill_sweep_full_matrix () =
   | _ -> ()
 
 let test_resume_never_skips_unknown () =
-  (* Regression for resume x reuse memoization: a journaled Unknown (here
-     forced by a one-conflict budget) must be re-attempted on resume, not
-     served as a cached verdict — same rule as "Unknown is never cached"
-     in Bmc.Reuse. *)
+  (* A journaled Unknown (here forced by a one-conflict budget) must be
+     re-attempted on resume, not served as a cached verdict: a bigger
+     budget might decide. *)
   let e = registry_entry "hamming74" in
   let design = e.Designs.Entry.design
   and iface = e.Designs.Entry.iface
@@ -554,6 +567,16 @@ let test_resume_never_skips_unknown () =
                     clean (verdict_to_string r)
               | None -> Alcotest.fail "decided re-run did not supersede the Unknown");
               Persist.Campaign.close c2))
+
+(* Journals are keyed by [Checks.campaign_key]; if its construction
+   drifts, every existing journal silently stops resuming. The literal is
+   the key earlier releases wrote for this cell. *)
+let test_campaign_key_pinned () =
+  let e = registry_entry "hamming74" in
+  Alcotest.(check string) "G-QED hamming74 key"
+    "G-QED/4/dead8b1302b7fcdbb9e090e10cd86504/e6c69f46d1b28fc9762b1b6aecbcc51d"
+    (Qed.Checks.campaign_key Qed.Checks.Gqed e.Designs.Entry.design
+       e.Designs.Entry.iface ~bound:e.Designs.Entry.rec_bound)
 
 let test_decode_rejects_drift () =
   let e = registry_entry "hamming74" in
@@ -657,55 +680,6 @@ let test_campaign_auto_compaction () =
           let entries, _ = load_ok path in
           Alcotest.(check int) "journal holds only live rows" 2 (List.length entries))
 
-(* A v1 record, byte-for-byte: no seconds field. Upgrades must still
-   load these and [open_append] must transparently rewrite them as v2. *)
-let encode_v1_record ~decided ~key ~payload =
-  let buf = Buffer.create 64 in
-  let add32 n =
-    List.iter (fun s -> Buffer.add_char buf (Char.chr ((n lsr s) land 0xff))) [ 24; 16; 8; 0 ]
-  in
-  Buffer.add_char buf 'R';
-  add32 (String.length key);
-  add32 (String.length payload);
-  Buffer.add_char buf (if decided then '\001' else '\000');
-  Buffer.add_string buf key;
-  Buffer.add_string buf payload;
-  let body = Buffer.contents buf in
-  add32 (Int32.to_int (Persist.crc32 body) land 0xFFFFFFFF);
-  Buffer.contents buf
-
-let test_v1_journal_upgrade () =
-  with_tmp "v1" (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "GQEDJRNL\001";
-      output_string oc (encode_v1_record ~decided:true ~key:"old-key" ~payload:"old-pay");
-      output_string oc (encode_v1_record ~decided:false ~key:"old-unk" ~payload:"u");
-      close_out oc;
-      let entries, recovery = load_ok path in
-      Alcotest.(check bool) "v1 loads clean" false recovery.Persist.Journal.rec_truncated;
-      Alcotest.(check (list (triple string bool string)))
-        "v1 entries decode"
-        [ ("old-key", true, "old-pay"); ("old-unk", false, "u") ]
-        (List.map entry_triple entries);
-      List.iter
-        (fun e ->
-          Alcotest.(check (float 0.)) "v1 has no timings" 0. e.Persist.Journal.e_seconds)
-        entries;
-      (* Opening for append upgrades the file in place to v2. *)
-      let j, existing, _ = open_ok path in
-      Alcotest.(check int) "upgrade preserves entries" 2 (List.length existing);
-      Persist.Journal.append ~seconds:0.125 j ~decided:true ~key:"new" ~payload:"n";
-      Persist.Journal.close j;
-      let header = In_channel.with_open_bin path (fun ic -> really_input_string ic 9) in
-      Alcotest.(check char) "version byte bumped to v2" '\002' header.[8];
-      let entries, _ = load_ok path in
-      Alcotest.(check int) "all three entries survive" 3 (List.length entries);
-      match List.rev entries with
-      | last :: _ ->
-          Alcotest.(check (float 1e-9)) "v2 seconds round-trip" 0.125
-            last.Persist.Journal.e_seconds
-      | [] -> Alcotest.fail "journal empty after upgrade")
-
 let test_seconds_round_trip () =
   with_tmp "seconds" (fun path ->
       (match Persist.Campaign.start ~resume:false ~force:false path with
@@ -756,10 +730,10 @@ let suite =
       test_kill_sweep_full_matrix;
     Alcotest.test_case "resume never skips Unknown" `Slow
       test_resume_never_skips_unknown;
+    Alcotest.test_case "campaign key pinned" `Quick test_campaign_key_pinned;
     Alcotest.test_case "report encode/decode drift" `Quick test_decode_rejects_drift;
     Alcotest.test_case "journal compaction round-trip" `Quick test_compact_round_trip;
     Alcotest.test_case "campaign auto-compaction gate" `Quick
       test_campaign_auto_compaction;
-    Alcotest.test_case "v1 journal upgrade" `Quick test_v1_journal_upgrade;
     Alcotest.test_case "per-cell seconds round-trip" `Quick test_seconds_round_trip;
   ]
