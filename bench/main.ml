@@ -6,10 +6,22 @@
      dune exec bench/main.exe                       # all experiments
      dune exec bench/main.exe -- t2 f1              # a subset, by id
      dune exec bench/main.exe -- --jobs 4 t2        # fan tasks over 4 domains
-     dune exec bench/main.exe -- --json BENCH.json  # machine-readable timings
+     dune exec bench/main.exe -- --json BENCH.json  # machine-readable report
+     dune exec bench/main.exe -- -help              # every flag
 
    Experiment ids: t1 t2 t3 t4 t5 a1 a2 a3 s1 f1 f2 f3 rob p1 r2 dist obs
    micro.
+
+   Each experiment is a function from the run's [env] (the parsed flags,
+   the --checkpoint journal, the run's verdict tally) to an [outcome]: the
+   report blocks it fills and its gates. A gate is a named count of
+   something that must never happen — a verdict flip between two lanes
+   that must agree, a malformed trace — and any nonzero gate fails the run
+   (exit 1) after the report is written. The lane-vs-lane experiments (s1
+   off/on, rob against its fault-free reference, p1 single/portfolio, obs
+   untraced/traced, r2 full/resumed, dist serial/distributed/resumed) all
+   count flips with [Report.lane_flips]. Blocks of experiments that did not run
+   keep their defaults, so every report has the same keys.
 
    --checkpoint FILE journals every check's verdict to a crash-safe
    write-ahead log as the run progresses; --resume replays an existing
@@ -18,49 +30,28 @@
    re-attempted). A fresh run refuses an existing journal unless --force;
    --resume without a journal is an error. Timing figures of a resumed
    run are not comparable to a cold one (skipped cells cost ~0), but no
-   verdict or table cell ever changes. The r2 experiment exercises the
-   same machinery in-process: journaled run, killed at a random record,
-   resumed, diffed — plus injected journal I/O faults and supervised
-   worker restarts; any flip exits 1. --seed N varies which kill point
+   verdict or table cell ever changes. --seed N varies which kill point
    the r2 crash simulation picks (verdicts are seed-independent).
 
    --trace FILE / --metrics FILE / --trace-format ndjson|chrome enable
    the Obs layer for the whole run and write the merged span trace and
-   metrics snapshot on completion. The obs experiment cross-checks that
-   tracing never changes a verdict and that emitted traces pass the
-   well-formedness checker; any disagreement fails the run (exit 1).
+   metrics snapshot on completion. --json, --trace and --metrics refuse
+   to overwrite an existing file unless --force.
 
-   --json refuses to overwrite an existing report file; pass --force to
-   replace it (the same applies to --trace/--metrics files).
-
-   --portfolio N sets the worker count of the p1 clause-sharing portfolio
-   experiment (default 4; clamped so --jobs x --portfolio never exceeds
-   the machine's domain count); --no-share turns off learnt-clause
-   sharing between its workers. p1 exits nonzero if the portfolio lane
-   flips any verdict of the single-solver lane.
-
-   --workers N sets the worker-process count of the dist experiment's
-   distributed lane (default: up to 4, at least 2); --batch M its pull
-   batch size. --max-restarts / --backoff SEC / --no-retry-oom configure
-   the restart policy its supervisor (and `gqed campaign`) applies to
-   worker deaths. dist solves every campaign cell twice — serially
-   in-process and across N worker processes journaling to per-worker
-   shards — and exits 1 if any verdict differs; a kill/resume lane
-   SIGKILLs a worker mid-campaign and checks the merged resume matrix
-   against the serial one.
-
-   --designs d1,d2 restricts s1, p1, r2 and dist to the named designs;
-   --no-simplify runs the solver-cost experiments (t3, f1, a2) with the
-   formula-shrinking pipeline off. s1 exits nonzero if any pipeline stage
-   changes a verdict.
+   --portfolio N / --no-share configure p1's portfolio lane (default 4
+   workers, clamped to the machine's domain count). --workers N / --batch
+   M size dist's worker-process lane (default: up to 4, at least 2), and
+   --max-restarts / --backoff SEC / --no-retry-oom its restart policy (the
+   same knobs `gqed campaign` exposes). --designs d1,d2 restricts s1, p1,
+   r2 and dist to the named designs; --no-simplify runs the solver-cost
+   experiments (t3, f1, a2) with the formula-shrinking pipeline off.
 
    --timeout SEC and --max-conflicts N put a per-query budget on every
    check the harness runs; a check that exhausts it reports "unknown"
    instead of a verdict. --no-escalate turns off the Bmc.Escalate retry
    ladder that otherwise regrows exhausted budgets until the check
-   decides. The run exits 3 when any verdict stayed unknown (and 1, as
-   before, on any verdict mismatch — including a fault-induced flip in
-   rob, which must never happen).
+   decides. The run exits 3 when any verdict stayed unknown and no gate
+   failed.
 
    Parallelism never changes any verdict or table cell: every task builds
    its own engine and results are reassembled in input order (see
@@ -70,7 +61,7 @@ module Entry = Designs.Entry
 module Registry = Designs.Registry
 module Checks = Qed.Checks
 module Theory = Qed.Theory
-module Report = Bench_report.Report
+module R = Bench_report.Report
 module Crv = Testbench.Crv
 module Productivity = Testbench.Productivity
 
@@ -80,89 +71,72 @@ let time f =
   (result, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out (--jobs) and the JSON report (--json).              *)
+(* The run: flags, verdict tally, experiment outcomes.                   *)
 
-let jobs = ref 1
+type config = {
+  jobs : int;
+  pipeline : Bmc.simplify_config; (* --no-simplify: t3, f1 and a2 only *)
+  limits : Bmc.limits; (* --timeout / --max-conflicts *)
+  escalate : bool;
+  portfolio : int;
+  share : bool;
+  workers : int; (* 0: auto *)
+  batch : int;
+  policy : Par.Supervise.restart_policy;
+  designs : string list option;
+  seed : int;
+  checkpoint : string option;
+  resume : bool;
+  force : bool;
+  json : string option;
+  trace : string option;
+  metrics : string option;
+  trace_format : [ `Ndjson | `Chrome ];
+}
 
-(* --no-simplify: run the solver-cost experiments (t3, f1, a2) with the
-   formula-shrinking pipeline disabled, for before/after comparisons. S1
-   always runs both configurations and ignores this flag. *)
-let pipeline = ref Bmc.default_simplify
+(* Counted over every check the harness funnels through [record]. Atomic
+   because checks run on worker domains under Par fan-outs. *)
+type tally = {
+  unknown : int Atomic.t;
+  escalations : int Atomic.t;
+  skips : int Atomic.t; (* checks served warm from the --checkpoint journal *)
+}
 
-(* --timeout / --max-conflicts build the per-query budget every governed
-   check runs under; --no-escalate disables the retry ladder. Counters are
-   atomic because checks run on worker domains under Par fan-outs. *)
-let timeout : float option ref = ref None
-let max_conflicts : int option ref = ref None
-let escalate = ref true
-let unknown_verdicts = Atomic.make 0
-let escalation_attempts = Atomic.make 0
+type t2_row = {
+  r_name : string;
+  r_interfering : bool;
+  r_mutants : int;
+  r_crv : int;
+  r_aqed : int;
+  r_aqed_false_alarm : bool;
+  r_gqed : int;
+  r_gqed_cex : int list; (* witness lengths of G-QED detections *)
+  r_crv_cycles : int list; (* cycles-to-detection of CRV detections *)
+  r_escapes_caught : int; (* CRV missed, G-QED flow caught *)
+}
 
-(* --portfolio / --no-share configure the p1 experiment's parallel lane. *)
-let portfolio_width = ref 4
-let portfolio_share = ref true
+type env = {
+  cfg : config;
+  tally : tally;
+  campaign : Persist.Campaign.t option;
+  t2 : t2_row list Lazy.t; (* the T2 matrix, shared by t2 and f3 *)
+}
 
-(* --workers / --batch size the dist experiment's worker-process lane;
-   --max-restarts / --backoff / --no-retry-oom shape the restart policy
-   its supervisor applies to worker deaths (the same knobs `gqed
-   campaign` exposes). workers = 0 means auto: min(cores, 4), at least 2
-   so the distributed lane is really distributed. *)
-let dist_workers = ref 0
-let dist_batch = ref 2
-let dist_max_restarts = ref Par.Supervise.default_policy.Par.Supervise.max_restarts
-let dist_backoff = ref Par.Supervise.default_policy.Par.Supervise.backoff_s
-let dist_retry_oom = ref true
+type gate = { count : int; what : string }
 
-let dist_policy () =
-  {
-    Par.Supervise.max_restarts = !dist_max_restarts;
-    backoff_s = !dist_backoff;
-    backoff_cap_s =
-      Float.max !dist_backoff
-        Par.Supervise.default_policy.Par.Supervise.backoff_cap_s;
-    retry_oom = !dist_retry_oom;
-  }
+type outcome = {
+  blocks : (string * R.json) list; (* top-level report blocks, by key *)
+  gates : gate list;
+}
 
-(* --trace / --metrics / --trace-format enable the Obs layer for the whole
-   run; --force permits overwriting existing report and trace files (and
-   starting a fresh campaign over an existing --checkpoint journal). *)
-let obs_trace_path : string option ref = ref None
-let obs_metrics_path : string option ref = ref None
-let obs_format : [ `Ndjson | `Chrome ] ref = ref `Ndjson
-let force_overwrite = ref false
+let nothing = { blocks = []; gates = [] }
 
-(* --checkpoint FILE journals every check's outcome to a crash-safe
-   write-ahead log; --resume replays it and skips the decided keys, so a
-   killed run picks up where it stopped with an identical verdict matrix.
-   The skip counter is atomic because checks run on worker domains. *)
-let checkpoint_path : string option ref = ref None
-let checkpoint_resume = ref false
-let campaign : Persist.Campaign.t option ref = ref None
-let campaign_skips = Atomic.make 0
-
-(* --seed N perturbs the seeded randomness of experiments that use any
-   (currently the R2 kill point); verdicts are seed-independent, so this
-   only varies which crash sites a soak run explores. *)
-let seed = ref 0
-
-(* State of the obs experiment: traced-vs-untraced verdict flips and
-   structurally malformed traces each fail the whole bench run. *)
-let obs_flips = ref 0
-let obs_malformed = ref 0
-let obs_trace_events = ref 0
-let obs_trace_wellformed : bool option ref = ref None
-
-let bench_limits () =
-  match (!timeout, !max_conflicts) with
-  | None, None -> Bmc.no_limits
-  | t, c -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:c ?seconds:t ()) ()
-
-let record report =
+let record env report =
   (match report.Checks.verdict with
-  | Checks.Unknown _ -> Atomic.incr unknown_verdicts
+  | Checks.Unknown _ -> Atomic.incr env.tally.unknown
   | Checks.Pass _ | Checks.Fail _ -> ());
   let extra = List.length report.Checks.attempts - 1 in
-  if extra > 0 then ignore (Atomic.fetch_and_add escalation_attempts extra);
+  if extra > 0 then ignore (Atomic.fetch_and_add env.tally.escalations extra);
   report
 
 (* Every experiment's checks funnel through here so the budget flags,
@@ -173,15 +147,15 @@ let record report =
    experiments (t3, f1) use it so resumed rows are never mistaken for
    cold measurements. Solved cells journal their wall-clock seconds,
    which later distributed runs read back for hardest-first ordering. *)
-let check_warm ?simplify ?mono technique design iface ~bound =
-  let limits = bench_limits () in
+let check_warm env ?simplify ?mono technique design iface ~bound =
+  let limits = env.cfg.limits in
   let solve () =
-    if !escalate then
+    if env.cfg.escalate then
       Checks.run_escalating ?simplify ?mono ~limits technique design iface ~bound
     else Checks.run ?simplify ?mono ~limits technique design iface ~bound
   in
-  match !campaign with
-  | None -> (record (solve ()), false)
+  match env.campaign with
+  | None -> (record env (solve ()), false)
   | Some c -> (
       let key = Checks.campaign_key technique design iface ~bound in
       let cached =
@@ -192,389 +166,18 @@ let check_warm ?simplify ?mono technique design iface ~bound =
       in
       match cached with
       | Some r ->
-          Atomic.incr campaign_skips;
-          (record r, true)
+          Atomic.incr env.tally.skips;
+          (record env r, true)
       | None ->
           let r, dt = time solve in
           Persist.Campaign.record c ~seconds:dt ~decided:(Checks.report_decided r)
             ~key ~payload:(Checks.encode_report r);
-          (record r, false))
+          (record env r, false))
 
-let check ?simplify ?mono technique design iface ~bound =
-  fst (check_warm ?simplify ?mono technique design iface ~bound)
+let check env ?simplify ?mono technique design iface ~bound =
+  fst (check_warm env ?simplify ?mono technique design iface ~bound)
 
-(* Sum of per-task wall-clock seconds spent in Par fan-outs by the current
-   experiment. task_sum / experiment_wall estimates the speedup over a
-   1-domain run of the same tasks without rerunning it. *)
-let par_task_seconds = ref 0.0
-
-let par_map f xs =
-  let results = Par.map_timed ~jobs:!jobs f xs in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 results;
-  List.map fst results
-
-type json_experiment = {
-  je_id : string;
-  je_wall_s : float;
-  je_task_sum_s : float; (* 0 when the experiment ran no parallel section *)
-  je_starved : bool;
-      (* tasks ran under deliberately starved budgets, so the task-sum is
-         not an estimate of 1-domain cost (see Bench_report.Report) *)
-}
-
-type json_solver_row = {
-  js_design : string;
-  js_bound : int;
-  js_verdict : string;
-  js_time_s : float;
-  js_warm : bool;
-      (* served from the --checkpoint journal without re-solving; its
-         time is the lookup, not the solve — never mix with cold rows *)
-  js_stats : Sat.Solver.stats;
-  js_cnf_vars : int;
-  js_cnf_clauses : int;
-  js_simp : Bmc.Engine.simp_stats;
-}
-
-(* One S1 ablation cell: the same check with the pipeline off and fully on. *)
-type json_simplify_row = {
-  jp_design : string;
-  jp_case : string; (* "correct" or the mutant label *)
-  jp_verdict_off : string;
-  jp_verdict_on : string;
-  jp_vars_off : int;
-  jp_vars_on : int;
-  jp_clauses_off : int;
-  jp_clauses_on : int;
-  jp_time_off_s : float;
-  jp_time_on_s : float;
-}
-
-type json_stage_row = {
-  jg_design : string;
-  jg_stage : string;
-  jg_vars : int;
-  jg_clauses : int;
-  jg_time_s : float;
-}
-
-(* One R-ROB1 matrix cell: a design under a given fault rate, plus the
-   escalation-recovery column (did a 1-conflict starved budget escalate back
-   to the fault-free verdict?). *)
-type json_rob_row = {
-  jr_design : string;
-  jr_rate : float;
-  jr_trials : int;
-  jr_unknown : int;
-  jr_flips : int;
-  jr_recovered : bool;
-}
-
-(* One P1 matrix cell: the same check on the single-solver lane and the
-   portfolio lane, with the portfolio's sharing counters. *)
-type json_portfolio_row = {
-  jpf_design : string;
-  jpf_case : string; (* "correct" or the mutant label *)
-  jpf_verdict_single : string;
-  jpf_verdict_portfolio : string;
-  jpf_time_single_s : float;
-  jpf_time_portfolio_s : float;
-  jpf_exported : int;
-  jpf_imported : int;
-}
-
-(* One R2 matrix cell: the same (design, case) verdict from the
-   uninterrupted journaled campaign and from the killed-and-resumed one. *)
-type json_campaign_row = {
-  jk_design : string;
-  jk_case : string; (* "correct" or the mutant label *)
-  jk_full : string;
-  jk_resumed : string;
-}
-
-(* One D1 matrix row: a design's slice of the combined campaign, solved
-   serially (in-process, workers=1) and across N worker processes
-   appending to per-worker journal shards. Times are sums of journaled
-   per-cell solve seconds (task-sums, not wall-clock — the wall-clock
-   speedup is the per-trial figure). *)
-type json_dist_row = {
-  jd_design : string;
-  jd_cells : int;
-  jd_serial_s : float;
-  jd_dist_s : float;
-  jd_flips : int;
-}
-
-let json_experiments : json_experiment list ref = ref []
-let json_solver_rows : json_solver_row list ref = ref []
-let json_simplify_rows : json_simplify_row list ref = ref []
-let json_stage_rows : json_stage_row list ref = ref []
-let json_rob_rows : json_rob_row list ref = ref []
-let json_portfolio_rows : json_portfolio_row list ref = ref []
-let json_simplify_geomean = ref nan
-let json_portfolio_geomean = ref nan
-let json_portfolio_effective = ref 1
-let json_campaign_rows : json_campaign_row list ref = ref []
-let json_dist_rows : json_dist_row list ref = ref []
-let json_dist_geomean = ref nan
-let json_dist_workers = ref 0
-let json_dist_restarts = ref 0
-let json_dist_killed = ref false
-let json_dist_resume_flips = ref 0
-let json_dist_resume_skipped = ref 0
-let json_dist_resume_merged = ref 0
-let json_campaign_records = ref 0
-let json_campaign_kill_at = ref 0
-let json_campaign_skipped = ref 0
-let json_campaign_rerun = ref 0
-let json_campaign_write_errors = ref 0
-let json_campaign_recovered_bytes = ref 0
-let json_campaign_restarts = ref 0
-let json_campaign_gave_up = ref 0
-
-(* Verdict flips between the uninterrupted and the killed-and-resumed
-   campaign detected by R2 (plus supervised tasks that misbehaved); like
-   the other flip counters, nonzero fails the whole bench run. *)
-let campaign_flips = ref 0
-
-(* Verdict flips between the serial and the N-worker-process lane (or the
-   killed-and-resumed one) detected by dist; nonzero fails the run. *)
-let dist_flips = ref 0
-
-(* Fault-induced verdict flips detected by rob; like pipeline verdict
-   mismatches, a nonzero count fails the whole bench run. *)
-let rob_flips = ref 0
-
-(* Verdict mismatches between pipeline configurations detected by S1; a
-   nonzero count fails the whole bench run (CI perf-smoke trips on it). *)
-let verdict_mismatches = ref 0
-
-(* Verdict flips between the single-solver and portfolio lanes detected by
-   P1; a nonzero count fails the whole bench run. *)
-let portfolio_flips = ref 0
-
-let write_json path =
-  let buf = Buffer.create 4096 in
-  let tm = Unix.localtime (Unix.gettimeofday ()) in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gqed-bench/8\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"date\": \"%04d-%02d-%02d\",\n" (tm.Unix.tm_year + 1900)
-       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Par.default_jobs ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"unknown_verdicts\": %d,\n" (Atomic.get unknown_verdicts));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"escalation_attempts\": %d,\n" (Atomic.get escalation_attempts));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"obs\": {\"enabled\": %b, \"trace_events\": %d, \"trace_wellformed\": %s, \
-        \"verdict_flips\": %d},\n"
-       (Obs.on ()) !obs_trace_events
-       (match !obs_trace_wellformed with
-       | None -> "null"
-       | Some b -> string_of_bool b)
-       !obs_flips);
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i e ->
-      let speedup =
-        Report.json_float_opt
-          (Report.est_speedup_vs_1domain ~starved:e.je_starved ~wall_s:e.je_wall_s
-             ~task_sum_s:e.je_task_sum_s)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"id\": %S, \"wall_s\": %.3f, \"task_sum_s\": %.3f, \
-            \"starved\": %b, \"est_speedup_vs_1domain\": %s}%s\n"
-           e.je_id e.je_wall_s e.je_task_sum_s e.je_starved speedup
-           (if i = List.length !json_experiments - 1 then "" else ",")))
-    !json_experiments;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"solver\": [\n";
-  let rows = !json_solver_rows in
-  List.iteri
-    (fun i r ->
-      let st = r.js_stats in
-      let sp = r.js_simp in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"bound\": %d, \"verdict\": %S, \"time_s\": %.3f, \
-            \"warm\": %b, \
-            \"cnf_vars\": %d, \"cnf_clauses\": %d, \"conflicts\": %d, \"decisions\": %d, \
-            \"propagations\": %d, \"restarts\": %d, \"learnt_clauses\": %d, \
-            \"clauses_exported\": %d, \"clauses_imported\": %d, \
-            \"simp\": {\"queries\": %d, \"coi_regs_before\": %d, \"coi_regs_after\": %d, \
-            \"rewrite_hits\": %d, \"clauses_emitted\": %d, \"clauses_plain\": %d, \
-            \"single_pol_nodes\": %d, \"pre_subsumed\": %d, \"pre_strengthened\": %d, \
-            \"pre_eliminated\": %d, \"pre_units\": %d, \"t_rewrite_s\": %.3f, \
-            \"t_cnf_s\": %.3f}}%s\n"
-           r.js_design r.js_bound r.js_verdict r.js_time_s r.js_warm r.js_cnf_vars
-           r.js_cnf_clauses
-           st.Sat.Solver.conflicts st.Sat.Solver.decisions st.Sat.Solver.propagations
-           st.Sat.Solver.restarts st.Sat.Solver.learnt_clauses
-           st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
-           sp.Bmc.Engine.ss_queries
-           sp.Bmc.Engine.ss_coi_regs_before sp.Bmc.Engine.ss_coi_regs_after
-           sp.Bmc.Engine.ss_rewrite_hits sp.Bmc.Engine.ss_clauses_emitted
-           sp.Bmc.Engine.ss_clauses_plain sp.Bmc.Engine.ss_single_pol
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_subsumed
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_strengthened
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_eliminated
-           sp.Bmc.Engine.ss_pre.Sat.Solver.pre_units sp.Bmc.Engine.ss_t_rewrite
-           sp.Bmc.Engine.ss_t_cnf
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"simplify\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"geo_mean_clause_reduction\": %s,\n"
-       (if Float.is_nan !json_simplify_geomean then "null"
-        else Printf.sprintf "%.4f" !json_simplify_geomean));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_mismatches\": %d,\n" !verdict_mismatches);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let srows = !json_simplify_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"verdict_off\": %S, \"verdict_on\": %S, \
-            \"vars_off\": %d, \"vars_on\": %d, \"clauses_off\": %d, \"clauses_on\": %d, \
-            \"time_off_s\": %.3f, \"time_on_s\": %.3f}%s\n"
-           r.jp_design r.jp_case r.jp_verdict_off r.jp_verdict_on r.jp_vars_off r.jp_vars_on
-           r.jp_clauses_off r.jp_clauses_on r.jp_time_off_s r.jp_time_on_s
-           (if i = List.length srows - 1 then "" else ",")))
-    srows;
-  Buffer.add_string buf "    ],\n";
-  Buffer.add_string buf "    \"ablation\": [\n";
-  let grows = !json_stage_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"stage\": %S, \"vars\": %d, \"clauses\": %d, \
-            \"time_s\": %.3f}%s\n"
-           r.jg_design r.jg_stage r.jg_vars r.jg_clauses r.jg_time_s
-           (if i = List.length grows - 1 then "" else ",")))
-    grows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"robustness\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"verdict_flips\": %d,\n" !rob_flips);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let rrows = !json_rob_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"rate\": %.3f, \"trials\": %d, \"unknown\": %d, \
-            \"flips\": %d, \"escalation_recovered\": %b}%s\n"
-           r.jr_design r.jr_rate r.jr_trials r.jr_unknown r.jr_flips r.jr_recovered
-           (if i = List.length rrows - 1 then "" else ",")))
-    rrows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"portfolio\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"requested_workers\": %d,\n" !portfolio_width);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"effective_workers\": %d,\n" !json_portfolio_effective);
-  Buffer.add_string buf (Printf.sprintf "    \"share\": %b,\n" !portfolio_share);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_flips\": %d,\n" !portfolio_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"speedup_geo_mean\": %s,\n"
-       (if Float.is_nan !json_portfolio_geomean then "null"
-        else Printf.sprintf "%.4f" !json_portfolio_geomean));
-  let prows = !json_portfolio_rows in
-  let p_exp = List.fold_left (fun a r -> a + r.jpf_exported) 0 prows in
-  let p_imp = List.fold_left (fun a r -> a + r.jpf_imported) 0 prows in
-  Buffer.add_string buf (Printf.sprintf "    \"clauses_exported\": %d,\n" p_exp);
-  Buffer.add_string buf (Printf.sprintf "    \"clauses_imported\": %d,\n" p_imp);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"share_hit_rate\": %s,\n"
-       (if p_exp = 0 then "null"
-        else Printf.sprintf "%.4f" (float_of_int p_imp /. float_of_int p_exp)));
-  Buffer.add_string buf "    \"matrix\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"verdict_single\": %S, \
-            \"verdict_portfolio\": %S, \"time_single_s\": %.3f, \
-            \"time_portfolio_s\": %.3f, \"exported\": %d, \"imported\": %d}%s\n"
-           r.jpf_design r.jpf_case r.jpf_verdict_single r.jpf_verdict_portfolio
-           r.jpf_time_single_s r.jpf_time_portfolio_s r.jpf_exported r.jpf_imported
-           (if i = List.length prows - 1 then "" else ",")))
-    prows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"campaign\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"checkpoint\": %s,\n"
-       (match !checkpoint_path with
-       | None -> "null"
-       | Some p -> Printf.sprintf "%S" p));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"checkpoint_skips\": %d,\n" (Atomic.get campaign_skips));
-  Buffer.add_string buf (Printf.sprintf "    \"records\": %d,\n" !json_campaign_records);
-  Buffer.add_string buf (Printf.sprintf "    \"kill_at\": %d,\n" !json_campaign_kill_at);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"skipped_on_resume\": %d,\n" !json_campaign_skipped);
-  Buffer.add_string buf (Printf.sprintf "    \"rerun\": %d,\n" !json_campaign_rerun);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"verdict_flips\": %d,\n" !campaign_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"write_errors\": %d,\n" !json_campaign_write_errors);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"recovered_bytes\": %d,\n" !json_campaign_recovered_bytes);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"supervisor_restarts\": %d,\n" !json_campaign_restarts);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"supervisor_gave_up\": %d,\n" !json_campaign_gave_up);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let krows = !json_campaign_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"case\": %S, \"full\": %S, \"resumed\": %S}%s\n"
-           r.jk_design r.jk_case r.jk_full r.jk_resumed
-           (if i = List.length krows - 1 then "" else ",")))
-    krows;
-  Buffer.add_string buf "    ]\n  },\n";
-  Buffer.add_string buf "  \"dist\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"workers\": %d,\n" !json_dist_workers);
-  Buffer.add_string buf (Printf.sprintf "    \"batch\": %d,\n" !dist_batch);
-  Buffer.add_string buf (Printf.sprintf "    \"verdict_flips\": %d,\n" !dist_flips);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"speedup_geo_mean\": %s,\n"
-       (if Float.is_nan !json_dist_geomean then "null"
-        else Printf.sprintf "%.4f" !json_dist_geomean));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"worker_restarts\": %d,\n" !json_dist_restarts);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"kill\": {\"killed\": %b, \"resume_flips\": %d, \
-        \"skipped_on_resume\": %d, \"merged_records\": %d},\n"
-       !json_dist_killed !json_dist_resume_flips !json_dist_resume_skipped
-       !json_dist_resume_merged);
-  Buffer.add_string buf "    \"matrix\": [\n";
-  let drows = !json_dist_rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"design\": %S, \"cells\": %d, \"serial_task_s\": %.3f, \
-            \"dist_task_s\": %.3f, \"flips\": %d}%s\n"
-           r.jd_design r.jd_cells r.jd_serial_s r.jd_dist_s r.jd_flips
-           (if i = List.length drows - 1 then "" else ",")))
-    drows;
-  Buffer.add_string buf "    ]\n  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "bench report written to %s\n" path
+let par_map env f xs = Par.map ~jobs:env.cfg.jobs f xs
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
@@ -619,10 +222,76 @@ let class_name e = if e.Entry.interfering then "interfering" else "non-interf."
 (* Shared mutant suites (one mutant per operator so the harness stays fast). *)
 let mutant_suite e = Mutation.mutants ~per_operator_limit:1 e.Entry.design
 
+(* The correct design plus its mutant suite, each labelled "correct" or
+   "operator:target" — the cells of every design x mutant matrix. *)
+let matrix_cells e =
+  ("correct", e.Entry.design)
+  :: List.map
+       (fun (m, mutant) ->
+         ( Printf.sprintf "%s:%s" (Mutation.operator_to_string m.Mutation.operator)
+             m.Mutation.target,
+           mutant ))
+       (mutant_suite e)
+
+(* The registry entries named by --designs, else those named by [default]
+   (else all), in registry order. An unknown name is a usage error. *)
+let entries ?default env =
+  Option.iter
+    (List.iter (fun n ->
+         if not (List.exists (fun e -> e.Entry.name = n) Registry.all) then begin
+           Printf.eprintf "bench: --designs: unknown design %s\n" n;
+           exit 2
+         end))
+    env.cfg.designs;
+  match (env.cfg.designs, default) with
+  | Some names, _ | None, Some names ->
+      List.filter (fun e -> List.mem e.Entry.name names) Registry.all
+  | None, None -> Registry.all
+
+(* One solver-cost row of the report's "solver" block (t3, f1). *)
+let solver_row ~design ~bound ((report, warm), dt) =
+  let st = report.Checks.sat_stats and sp = report.Checks.simp in
+  let pre = sp.Bmc.Engine.ss_pre in
+  R.(
+    Row
+      [
+        ("design", Str design);
+        ("bound", Int bound);
+        ("verdict", Str (verdict_key report));
+        ("time_s", Num (3, dt));
+        ("warm", Bool warm);
+        ("cnf_vars", Int report.Checks.cnf_vars);
+        ("cnf_clauses", Int report.Checks.cnf_clauses);
+        ("conflicts", Int st.Sat.Solver.conflicts);
+        ("decisions", Int st.Sat.Solver.decisions);
+        ("propagations", Int st.Sat.Solver.propagations);
+        ("restarts", Int st.Sat.Solver.restarts);
+        ("learnt_clauses", Int st.Sat.Solver.learnt_clauses);
+        ("clauses_exported", Int st.Sat.Solver.clauses_exported);
+        ("clauses_imported", Int st.Sat.Solver.clauses_imported);
+        ( "simp",
+          Row
+            [
+              ("queries", Int sp.Bmc.Engine.ss_queries);
+              ("coi_regs_before", Int sp.Bmc.Engine.ss_coi_regs_before);
+              ("coi_regs_after", Int sp.Bmc.Engine.ss_coi_regs_after);
+              ("rewrite_hits", Int sp.Bmc.Engine.ss_rewrite_hits);
+              ("clauses_emitted", Int sp.Bmc.Engine.ss_clauses_emitted);
+              ("clauses_plain", Int sp.Bmc.Engine.ss_clauses_plain);
+              ("single_pol_nodes", Int sp.Bmc.Engine.ss_single_pol);
+              ("pre_subsumed", Int pre.Sat.Solver.pre_subsumed);
+              ("pre_strengthened", Int pre.Sat.Solver.pre_strengthened);
+              ("pre_eliminated", Int pre.Sat.Solver.pre_eliminated);
+              ("pre_units", Int pre.Sat.Solver.pre_units);
+              ("t_rewrite_s", Num (3, sp.Bmc.Engine.ss_t_rewrite));
+              ("t_cnf_s", Num (3, sp.Bmc.Engine.ss_t_cnf));
+            ] );
+      ])
+
 (* ------------------------------------------------------------------ *)
 (* T1: benchmark suite characteristics.                                 *)
 
-let t1 () =
+let t1 _env =
   header "T1  Benchmark suite characteristics";
   Printf.printf "%-12s %-12s %6s %6s %6s %8s %6s\n" "design" "class" "state" "input"
     "nodes" "mutants" "bound";
@@ -633,23 +302,11 @@ let t1 () =
         state_bits input_bits nodes
         (List.length (mutant_suite e))
         e.Entry.rec_bound)
-    Registry.all
+    Registry.all;
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* T2: bug-detection matrix (the headline table).                       *)
-
-type t2_row = {
-  r_name : string;
-  r_interfering : bool;
-  r_mutants : int;
-  r_crv : int;
-  r_aqed : int;
-  r_aqed_false_alarm : bool;
-  r_gqed : int;
-  r_gqed_cex : int list; (* witness lengths of G-QED detections *)
-  r_crv_cycles : int list; (* cycles-to-detection of CRV detections *)
-  r_escapes_caught : int; (* CRV missed, G-QED flow caught *)
-}
 
 (* One task per matrix cell (design x mutant) plus one false-alarm task per
    design; the whole matrix fans out over domains at once and the rows are
@@ -663,7 +320,7 @@ type t2_cell = {
   cc_gqed_cex : int option;
 }
 
-let t2_compute () =
+let t2_compute env =
   let tasks =
     List.concat_map
       (fun e ->
@@ -671,7 +328,7 @@ let t2_compute () =
       Registry.all
   in
   let results =
-    par_map
+    par_map env
       (function
         | `Alarm e ->
             Printf.eprintf "  [t2] %s...\n%!" e.Entry.name;
@@ -680,7 +337,7 @@ let t2_compute () =
             `Alarm_r
               (e.Entry.interfering
               && failed
-                   (check Checks.Aqed e.Entry.design e.Entry.iface
+                   (check env Checks.Aqed e.Entry.design e.Entry.iface
                       ~bound:e.Entry.rec_bound))
         | `Cell (e, mutant) ->
             let bound = e.Entry.rec_bound in
@@ -692,9 +349,9 @@ let t2_compute () =
                ones it already rejects the bug-free design. *)
             let aqed_hit =
               (not e.Entry.interfering)
-              && failed (check Checks.Aqed mutant e.Entry.iface ~bound)
+              && failed (check env Checks.Aqed mutant e.Entry.iface ~bound)
             in
-            let g = check Checks.Gqed_flow mutant e.Entry.iface ~bound in
+            let g = check env Checks.Gqed_flow mutant e.Entry.iface ~bound in
             `Cell_r
               {
                 cc_crv_detected = crv.Crv.detected;
@@ -737,14 +394,12 @@ let t2_compute () =
       })
     Registry.all
 
-let t2_rows = lazy (t2_compute ())
-
-let t2 () =
+let t2 env =
   header "T2  Bug detection per design: CRV baseline vs A-QED vs G-QED";
   Printf.printf
     "(mutant suites: one mutant per operator; CRV budget 500 transactions)\n";
   Printf.printf "%-12s %8s %12s %14s %10s\n" "design" "mutants" "CRV" "A-QED" "G-QED flow";
-  let rows = Lazy.force t2_rows in
+  let rows = Lazy.force env.t2 in
   List.iter
     (fun row ->
       let aqed_str =
@@ -772,52 +427,42 @@ let t2 () =
      property does not hold there), which is the paper's motivation for G-QED.\n\
      G-QED escapes are uniform bugs (e.g. stuck architectural registers) that\n\
      no self-consistency technique can see without a specification; the\n\
-     golden-model CRV baseline catches those but pays for the model (T4).\n"
+     golden-model CRV baseline catches those but pays for the model (T4).\n";
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* T3: G-QED cost on the correct designs (runtime, CNF, conflicts).     *)
 
-let t3 () =
+let t3 env =
   header "T3  G-QED verification cost on correct designs";
   Printf.printf "%-12s %6s %9s %9s %10s %9s %8s\n" "design" "bound" "vars" "clauses"
     "conflicts" "verdict" "time(s)";
   (* Per-design rows fan out over domains; printing stays in registry order. *)
   let rows =
-    Par.map_timed ~jobs:!jobs
+    Par.map_timed ~jobs:env.cfg.jobs
       (fun e ->
-        (e, check_warm ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface
-              ~bound:e.Entry.rec_bound))
+        check_warm env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design
+          e.Entry.iface ~bound:e.Entry.rec_bound)
       Registry.all
   in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 rows;
-  List.iter
-    (fun ((e, (report, warm)), dt) ->
+  List.iter2
+    (fun e ((report, warm), dt) ->
       Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f%s\n%!" e.Entry.name
         e.Entry.rec_bound report.Checks.cnf_vars report.Checks.cnf_clauses
         report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt
-        (if warm then "  (journal)" else "");
-      json_solver_rows :=
-        !json_solver_rows
-        @ [
-            {
-              js_design = e.Entry.name;
-              js_bound = e.Entry.rec_bound;
-              js_verdict = verdict_key report;
-              js_time_s = dt;
-              js_warm = warm;
-              js_stats = report.Checks.sat_stats;
-              js_cnf_vars = report.Checks.cnf_vars;
-              js_cnf_clauses = report.Checks.cnf_clauses;
-              js_simp = report.Checks.simp;
-            };
-          ])
-    rows
+        (if warm then "  (journal)" else ""))
+    Registry.all rows;
+  let json =
+    List.map2
+      (fun e row -> solver_row ~design:e.Entry.name ~bound:e.Entry.rec_bound row)
+      Registry.all rows
+  in
+  { nothing with blocks = [ ("solver", R.Arr json) ] }
 
 (* ------------------------------------------------------------------ *)
 (* T4: productivity model (the 370 -> 21 person-days claim).            *)
 
-let t4 () =
+let t4 _env =
   header "T4  Verification productivity (effort model; see EXPERIMENTS.md)";
   Printf.printf "%-12s %15s %15s %8s\n" "design" "conventional" "G-QED flow" "ratio";
   let mmio = Registry.find "mmio_engine" in
@@ -835,16 +480,17 @@ let t4 () =
   Printf.printf "  conventional: %s\n"
     (Format.asprintf "%a" Productivity.pp_effort (Productivity.conventional mmio));
   Printf.printf "  G-QED flow:   %s\n"
-    (Format.asprintf "%a" Productivity.pp_effort (Productivity.gqed mmio))
+    (Format.asprintf "%a" Productivity.pp_effort (Productivity.gqed mmio));
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* T5: soundness / completeness validation.                             *)
 
-let t5 () =
+let t5 env =
   header "T5  Theory validation (bounded-exhaustive + per-witness soundness)";
   let small = [ "accum"; "maxtrack"; "rle"; "seqdet"; "histogram" ] in
   Printf.printf "%-12s %24s %8s %8s\n" "design" "brute-force table" "G-QED" "agree";
-  par_map
+  par_map env
     (fun name ->
       let e = Registry.find name in
       let alphabet =
@@ -853,7 +499,7 @@ let t5 () =
       let table =
         Theory.transaction_table e.Entry.design e.Entry.iface ~alphabet ~depth:4
       in
-      let report = check Checks.Gqed e.Entry.design e.Entry.iface ~bound:6 in
+      let report = check env Checks.Gqed e.Entry.design e.Entry.iface ~bound:6 in
       (name, table, passed report))
     small
   |> List.iter (fun (name, table, pass) ->
@@ -871,7 +517,7 @@ let t5 () =
            (if pass then "pass" else "fail")
            agree);
   Printf.printf "\nInjected interference (hidden-output mutants):\n";
-  par_map
+  par_map env
     (fun name ->
       let e = Registry.find name in
       match
@@ -886,7 +532,7 @@ let t5 () =
             Theory.default_alphabet ~operand_values:[ 0; 1; 3 ] mutant e.Entry.iface
           in
           let table = Theory.transaction_table mutant e.Entry.iface ~alphabet ~depth:4 in
-          let report = check Checks.Gqed mutant e.Entry.iface ~bound:6 in
+          let report = check env Checks.Gqed mutant e.Entry.iface ~bound:6 in
           let genuine =
             match report.Checks.verdict with
             | Checks.Fail f -> Theory.witness_is_genuine mutant e.Entry.iface f
@@ -911,9 +557,11 @@ let t5 () =
       [ "accum"; "maxtrack"; "seqdet" ]
   in
   let verdicts =
-    par_map
+    par_map env
       (fun (e, mutant) ->
-        let report = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
+        let report =
+          check env Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound
+        in
         match report.Checks.verdict with
         | Checks.Fail f -> Some (Theory.witness_is_genuine mutant e.Entry.iface f)
         | Checks.Pass _ | Checks.Unknown _ -> None)
@@ -922,15 +570,16 @@ let t5 () =
   let total = List.length (List.filter Option.is_some verdicts) in
   let genuine = List.length (List.filter (fun v -> v = Some true) verdicts) in
   Printf.printf "\nWitness soundness: %d/%d reported counterexamples replay as genuine\n"
-    genuine total
+    genuine total;
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* A1: ablation — G-QED with vs without the post-state conjunct.        *)
 
-let a1 () =
+let a1 env =
   header "A1  Ablation: post-state conjunct (hidden-state mutants of arch regs)";
   Printf.printf "%-12s %22s %22s\n" "design" "G-QED(full)" "G-QED(out-only)";
-  par_map
+  par_map env
     (fun e ->
       if not e.Entry.interfering then None
       else
@@ -948,9 +597,12 @@ let a1 () =
         with
         | None -> None
         | Some mutant ->
-            let full = check Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound in
+            let full =
+              check env Checks.Gqed mutant e.Entry.iface ~bound:e.Entry.rec_bound
+            in
             let out_only =
-              check Checks.Gqed_output_only mutant e.Entry.iface ~bound:e.Entry.rec_bound
+              check env Checks.Gqed_output_only mutant e.Entry.iface
+                ~bound:e.Entry.rec_bound
             in
             Some (e.Entry.name, full, out_only))
     Registry.all
@@ -963,12 +615,13 @@ let a1 () =
              | Checks.Fail f -> "caught:" ^ Checks.failure_kind_to_string f.Checks.kind
              | Checks.Unknown _ -> "unknown"
            in
-           Printf.printf "%-12s %22s %22s\n%!" name (show full) (show out_only))
+           Printf.printf "%-12s %22s %22s\n%!" name (show full) (show out_only));
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* A2: ablation — incremental vs monolithic BMC.                        *)
 
-let a2 () =
+let a2 env =
   header "A2  Ablation: incremental vs monolithic BMC (accum reachability)";
   let e = Registry.find "accum" in
   let assumes =
@@ -978,18 +631,19 @@ let a2 () =
     ]
   in
   let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
+  let simplify = env.cfg.pipeline and limits = env.cfg.limits in
   Printf.printf "%-8s %14s %14s %10s\n" "depth" "incremental(s)" "monolithic(s)" "result";
   List.iter
     (fun depth ->
       let (r1, _), t_inc =
         time (fun () ->
-            Bmc.check_safety ~assumes ~simplify:!pipeline ~limits:(bench_limits ())
-              ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety ~assumes ~simplify ~limits ~design:e.Entry.design ~invariant
+              ~depth ())
       in
       let (r2, _), t_mono =
         time (fun () ->
-            Bmc.check_safety_mono ~assumes ~simplify:!pipeline ~limits:(bench_limits ())
-              ~design:e.Entry.design ~invariant ~depth ())
+            Bmc.check_safety_mono ~assumes ~simplify ~limits ~design:e.Entry.design
+              ~invariant ~depth ())
       in
       let result, same =
         match (r1, r2) with
@@ -1004,16 +658,18 @@ let a2 () =
       in
       Printf.printf "%-8d %14.3f %14.3f %10s%s\n%!" depth t_inc t_mono result
         (if same then "" else "  MISMATCH"))
-    [ 4; 8; 12; 16 ]
+    [ 4; 8; 12; 16 ];
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* A3: ablation — monolithic vs decomposed verification (A-QED^2).      *)
 
-let a3 () =
+let a3 env =
   header "A3  Ablation: monolithic vs decomposed verification (peak_accum)";
   let e = Registry.find "peak_accum" in
   let mono, t_mono =
-    time (fun () -> check Checks.Gqed e.Entry.design e.Entry.iface ~bound:e.Entry.rec_bound)
+    time (fun () ->
+        check env Checks.Gqed e.Entry.design e.Entry.iface ~bound:e.Entry.rec_bound)
   in
   let dec, t_dec =
     time (fun () ->
@@ -1033,9 +689,9 @@ let a3 () =
         if m.Mutation.operator = Mutation.Ite_flip then Some d else None)
       (Mutation.mutants (Registry.find "maxtrack").Entry.design)
   in
-  match buggy_sub with
+  (match buggy_sub with
   | None -> ()
-  | Some buggy ->
+  | Some buggy -> (
       let subs =
         List.map
           (fun sub ->
@@ -1045,34 +701,30 @@ let a3 () =
           Designs.Peak_accum.decomposition
       in
       let r = Qed.Decompose.check_all subs ~bound:e.Entry.rec_bound in
-      (match Qed.Decompose.first_failure r with
+      match Qed.Decompose.first_failure r with
       | Some (name, f) ->
           Printf.printf "seeded tracker bug localized to sub-accelerator %s (%s)\n" name
             (Checks.failure_kind_to_string f.Checks.kind)
-      | None -> Printf.printf "seeded bug NOT localized\n")
+      | None -> Printf.printf "seeded bug NOT localized\n"));
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* S1: formula-shrinking pipeline — per-stage ablation and the           *)
 (* off-vs-on design x mutant matrix.                                     *)
 
-let design_filter : string list option ref = ref None
+let simplify_block ?(geo = nan) ?(mismatches = 0) ?(matrix = []) ?(ablation = []) () =
+  R.(
+    Obj
+      [
+        ("geo_mean_clause_reduction", Num (4, geo));
+        ("verdict_mismatches", Int mismatches);
+        ("matrix", Arr matrix);
+        ("ablation", Arr ablation);
+      ])
 
-let s1_entries () =
-  match !design_filter with
-  | None -> Registry.all
-  | Some names ->
-      List.iter
-        (fun n ->
-          if not (List.exists (fun e -> e.Entry.name = n) Registry.all) then begin
-            Printf.eprintf "bench: --designs: unknown design %s\n" n;
-            exit 2
-          end)
-        names;
-      List.filter (fun e -> List.mem e.Entry.name names) Registry.all
-
-let s1 () =
+let s1 env =
   header "S1  Formula-shrinking pipeline: stage ablation + off-vs-on matrix";
-  let entries = s1_entries () in
+  let entries = entries env in
   let stages =
     [
       ("off", Bmc.no_simplify);
@@ -1094,123 +746,145 @@ let s1 () =
   Printf.printf "%-12s %-8s %9s %9s %10s %8s\n" "design" "stage" "vars" "clauses" "verdict"
     "time(s)";
   let ablation =
-    par_map
+    par_map env
       (fun (e, (stage, conf)) ->
         let report, dt =
           time (fun () ->
-              check ~simplify:conf ~mono:true Checks.Gqed e.Entry.design e.Entry.iface
+              check env ~simplify:conf ~mono:true Checks.Gqed e.Entry.design e.Entry.iface
                 ~bound:e.Entry.rec_bound)
         in
         (e.Entry.name, stage, report, dt))
       (List.concat_map (fun e -> List.map (fun s -> (e, s)) stages) entries)
   in
-  let baseline_verdict name =
-    List.find_map
-      (fun (n, stage, r, _) -> if n = name && stage = "off" then Some (verdict_key r) else None)
+  (* Each stage's verdicts, keyed by design: every stage is a lane that must
+     agree with the pipeline-off lane. *)
+  let lane stage =
+    List.filter_map
+      (fun (n, s, r, _) -> if s = stage then Some (n, verdict_key r) else None)
       ablation
   in
+  let off = lane "off" in
+  let stage_flips = List.fold_left (fun n (s, _) -> n + R.lane_flips off (lane s)) 0 stages in
+  let clauses r = r.Checks.simp.Bmc.Engine.ss_clauses_emitted in
   List.iter
     (fun (name, stage, report, dt) ->
       let vk = verdict_key report in
-      let mismatch = baseline_verdict name <> Some vk in
-      if mismatch then incr verdict_mismatches;
-      let sent = report.Checks.simp.Bmc.Engine.ss_clauses_emitted in
       Printf.printf "%-12s %-8s %9d %9d %10s %8.2f%s\n%!" name stage report.Checks.cnf_vars
-        sent vk dt
-        (if mismatch then "  VERDICT MISMATCH" else "");
-      json_stage_rows :=
-        !json_stage_rows
-        @ [
-            {
-              jg_design = name;
-              jg_stage = stage;
-              jg_vars = report.Checks.cnf_vars;
-              jg_clauses = sent;
-              jg_time_s = dt;
-            };
-          ])
+        (clauses report) vk dt
+        (if List.assoc_opt name off <> Some vk then "  VERDICT MISMATCH" else ""))
     ablation;
   (* Off-vs-on over the full design x mutant matrix (same mutant suites as
      T2), monolithic mode on both sides so the comparison is controlled.
      "Clauses" is again the total sent to the solver over the whole check;
      the per-case ratios feed the geo-mean reduction figure. *)
-  let cases =
-    List.concat_map
-      (fun e ->
-        ("correct", e, e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s" (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 e,
-                 mutant ))
-             (mutant_suite e))
-      entries
-  in
   let matrix =
-    par_map
-      (fun (label, e, design) ->
+    par_map env
+      (fun (e, (label, design)) ->
         let off, t_off =
           time (fun () ->
-              check ~simplify:Bmc.no_simplify ~mono:true Checks.Gqed design e.Entry.iface
-                ~bound:e.Entry.rec_bound)
+              check env ~simplify:Bmc.no_simplify ~mono:true Checks.Gqed design
+                e.Entry.iface ~bound:e.Entry.rec_bound)
         in
         let on, t_on =
           time (fun () ->
-              check ~mono:true Checks.Gqed design e.Entry.iface ~bound:e.Entry.rec_bound)
+              check env ~mono:true Checks.Gqed design e.Entry.iface
+                ~bound:e.Entry.rec_bound)
         in
-        {
-          jp_design = e.Entry.name;
-          jp_case = label;
-          jp_verdict_off = verdict_key off;
-          jp_verdict_on = verdict_key on;
-          jp_vars_off = off.Checks.cnf_vars;
-          jp_vars_on = on.Checks.cnf_vars;
-          jp_clauses_off = off.Checks.simp.Bmc.Engine.ss_clauses_emitted;
-          jp_clauses_on = on.Checks.simp.Bmc.Engine.ss_clauses_emitted;
-          jp_time_off_s = t_off;
-          jp_time_on_s = t_on;
-        })
-      cases
+        (e.Entry.name, label, off, on, t_off, t_on))
+      (List.concat_map (fun e -> List.map (fun c -> (e, c)) (matrix_cells e)) entries)
   in
+  let matrix_flips =
+    let lane pick =
+      List.map (fun (d, l, off, on, _, _) -> ((d, l), verdict_key (pick off on))) matrix
+    in
+    R.lane_flips (lane (fun off _ -> off)) (lane (fun _ on -> on))
+  in
+  let mismatches = stage_flips + matrix_flips in
   Printf.printf "\noff vs on over the design x mutant matrix (%d cases):\n"
     (List.length matrix);
   Printf.printf "%-12s %-28s %10s %10s %7s %10s\n" "design" "case" "cl(off)" "cl(on)"
     "saved" "verdict";
-  let log_sum = ref 0.0 and log_n = ref 0 in
   List.iter
-    (fun r ->
-      let mismatch = r.jp_verdict_off <> r.jp_verdict_on in
-      if mismatch then incr verdict_mismatches;
-      if r.jp_clauses_off > 0 && r.jp_clauses_on > 0 then begin
-        log_sum :=
-          !log_sum +. log (float_of_int r.jp_clauses_on /. float_of_int r.jp_clauses_off);
-        incr log_n
-      end;
+    (fun (design, label, off, on, _, _) ->
       let saved =
-        if r.jp_clauses_off > 0 then
+        if clauses off > 0 then
           Printf.sprintf "%.0f%%"
-            (100.0 *. (1.0 -. (float_of_int r.jp_clauses_on /. float_of_int r.jp_clauses_off)))
+            (100.0 *. (1.0 -. (float_of_int (clauses on) /. float_of_int (clauses off))))
         else "-"
       in
-      Printf.printf "%-12s %-28s %10d %10d %7s %10s%s\n%!" r.jp_design r.jp_case
-        r.jp_clauses_off r.jp_clauses_on saved r.jp_verdict_on
-        (if mismatch then
-           Printf.sprintf "  VERDICT MISMATCH (off: %s)" r.jp_verdict_off
+      Printf.printf "%-12s %-28s %10d %10d %7s %10s%s\n%!" design label (clauses off)
+        (clauses on) saved (verdict_key on)
+        (if verdict_key off <> verdict_key on then
+           Printf.sprintf "  VERDICT MISMATCH (off: %s)" (verdict_key off)
          else ""))
     matrix;
-  json_simplify_rows := !json_simplify_rows @ matrix;
-  if !log_n > 0 then begin
-    let geo = 1.0 -. exp (!log_sum /. float_of_int !log_n) in
-    json_simplify_geomean := geo;
-    Printf.printf "\ngeo-mean clause reduction: %.1f%% over %d cases; verdict mismatches: %d\n"
-      (100.0 *. geo) !log_n !verdict_mismatches
-  end
+  (* Geo-mean of clauses(on)/clauses(off) over the cases with clauses on
+     both sides. *)
+  let ratios =
+    List.filter_map
+      (fun (_, _, off, on, _, _) ->
+        if clauses off > 0 && clauses on > 0 then
+          Some (float_of_int (clauses on), float_of_int (clauses off))
+        else None)
+      matrix
+  in
+  let geo =
+    match R.geo_mean_ratio ratios with
+    | None -> nan
+    | Some r ->
+        let geo = 1.0 -. r in
+        Printf.printf
+          "\ngeo-mean clause reduction: %.1f%% over %d cases; verdict mismatches: %d\n"
+          (100.0 *. geo) (List.length ratios) mismatches;
+        geo
+  in
+  let matrix_json =
+    List.map
+      (fun (design, label, off, on, t_off, t_on) ->
+        R.(
+          Row
+            [
+              ("design", Str design);
+              ("case", Str label);
+              ("verdict_off", Str (verdict_key off));
+              ("verdict_on", Str (verdict_key on));
+              ("vars_off", Int off.Checks.cnf_vars);
+              ("vars_on", Int on.Checks.cnf_vars);
+              ("clauses_off", Int (clauses off));
+              ("clauses_on", Int (clauses on));
+              ("time_off_s", Num (3, t_off));
+              ("time_on_s", Num (3, t_on));
+            ]))
+      matrix
+  in
+  let ablation_json =
+    List.map
+      (fun (name, stage, report, dt) ->
+        R.(
+          Row
+            [
+              ("design", Str name);
+              ("stage", Str stage);
+              ("vars", Int report.Checks.cnf_vars);
+              ("clauses", Int (clauses report));
+              ("time_s", Num (3, dt));
+            ]))
+      ablation
+  in
+  {
+    blocks =
+      [
+        ( "simplify",
+          simplify_block ~geo ~mismatches ~matrix:matrix_json ~ablation:ablation_json () );
+      ];
+    gates =
+      [ { count = mismatches; what = "verdict mismatch(es) between pipeline configurations" } ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* F1: G-QED runtime vs unroll bound (scaling curves).                  *)
 
-let f1 () =
+let f1 env =
   header "F1  G-QED runtime vs unroll bound (seconds; one series per design)";
   let designs = [ "accum"; "maxtrack"; "alu_pipe"; "mmio_engine" ] in
   let bounds = [ 2; 3; 4; 5; 6 ] in
@@ -1221,52 +895,35 @@ let f1 () =
      task wall-clock, so the grid is the same data the serial run prints. *)
   let cells = List.concat_map (fun b -> List.map (fun d -> (b, d)) designs) bounds in
   let timed =
-    Par.map_timed ~jobs:!jobs
+    Par.map_timed ~jobs:env.cfg.jobs
       (fun (bound, name) ->
         let e = Registry.find name in
-        check_warm ~simplify:!pipeline Checks.Gqed e.Entry.design e.Entry.iface ~bound)
+        check_warm env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design
+          e.Entry.iface ~bound)
       cells
   in
-  par_task_seconds :=
-    !par_task_seconds +. List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 timed;
-  let warm_any = ref false in
   List.iteri
     (fun bi bound ->
       Printf.printf "%-6d" bound;
       List.iteri
         (fun di _ ->
           let (_, warm), dt = List.nth timed ((bi * List.length designs) + di) in
-          if warm then warm_any := true;
           Printf.printf " %11.3f%s" dt (if warm then "*" else " "))
         designs;
       Printf.printf "\n%!")
     bounds;
-  if !warm_any then
+  if List.exists (fun ((_, warm), _) -> warm) timed then
     Printf.printf
       "(* = served warm from the --checkpoint journal; lookup time, not solve time)\n";
-  List.iter2
-    (fun (bound, name) ((report, warm), dt) ->
-      json_solver_rows :=
-        !json_solver_rows
-        @ [
-            {
-              js_design = name;
-              js_bound = bound;
-              js_verdict = verdict_key report;
-              js_time_s = dt;
-              js_warm = warm;
-              js_stats = report.Checks.sat_stats;
-              js_cnf_vars = report.Checks.cnf_vars;
-              js_cnf_clauses = report.Checks.cnf_clauses;
-              js_simp = report.Checks.simp;
-            };
-          ])
-    cells timed
+  let json =
+    List.map2 (fun (bound, name) row -> solver_row ~design:name ~bound row) cells timed
+  in
+  { nothing with blocks = [ ("solver", R.Arr json) ] }
 
 (* ------------------------------------------------------------------ *)
 (* F2: CRV detection rate vs budget, with the G-QED one-shot line.      *)
 
-let f2 () =
+let f2 env =
   header "F2  Detection rate vs CRV budget, against one G-QED run";
   let cases =
     [
@@ -1287,7 +944,7 @@ let f2 () =
   Printf.printf "%-20s" "mutant";
   List.iter (fun b -> Printf.printf " %7s" (Printf.sprintf "%dtx" b)) budgets;
   Printf.printf " %16s\n" "G-QED one-shot";
-  par_map
+  par_map env
     (fun (label, design_name, op) ->
       let e = Registry.find design_name in
       match
@@ -1299,7 +956,8 @@ let f2 () =
       | Some mutant ->
           let curve = Crv.detection_curve ~design_override:mutant e ~budgets ~seeds in
           let report, dt =
-            time (fun () -> check Checks.Gqed_flow mutant e.Entry.iface ~bound:e.Entry.rec_bound)
+            time (fun () ->
+                check env Checks.Gqed_flow mutant e.Entry.iface ~bound:e.Entry.rec_bound)
           in
           let one_shot =
             match report.Checks.verdict with
@@ -1317,14 +975,15 @@ let f2 () =
            Printf.printf " %9s %5.1fs\n%!" one_shot dt);
   Printf.printf
     "\n(rare-trigger rows: the corruption needs a coincidence of hidden phase,\n\
-     operand and state values; symbolic search constructs it in one query)\n"
+     operand and state values; symbolic search constructs it in one query)\n";
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* F3: counterexample length, G-QED vs CRV cycles-to-detection.         *)
 
-let f3 () =
+let f3 env =
   header "F3  Counterexample length: G-QED trace vs CRV cycles-to-detection";
-  let rows = Lazy.force t2_rows in
+  let rows = Lazy.force env.t2 in
   let geomean = function
     | [] -> nan
     | xs ->
@@ -1334,19 +993,17 @@ let f3 () =
   in
   Printf.printf "%-12s %18s %18s %8s\n" "design" "G-QED cex (geo.)" "CRV cycles (geo.)"
     "ratio";
-  let all_g = ref [] and all_c = ref [] in
+  let rows = List.filter (fun r -> r.r_gqed_cex <> [] && r.r_crv_cycles <> []) rows in
   List.iter
     (fun row ->
-      if row.r_gqed_cex <> [] && row.r_crv_cycles <> [] then begin
-        all_g := row.r_gqed_cex @ !all_g;
-        all_c := row.r_crv_cycles @ !all_c;
-        let g = geomean row.r_gqed_cex and c = geomean row.r_crv_cycles in
-        Printf.printf "%-12s %18.1f %18.1f %7.1fx\n" row.r_name g c (c /. g)
-      end)
+      let g = geomean row.r_gqed_cex and c = geomean row.r_crv_cycles in
+      Printf.printf "%-12s %18.1f %18.1f %7.1fx\n" row.r_name g c (c /. g))
     rows;
-  let g = geomean !all_g and c = geomean !all_c in
+  let g = geomean (List.concat_map (fun r -> r.r_gqed_cex) (List.rev rows))
+  and c = geomean (List.concat_map (fun r -> r.r_crv_cycles) (List.rev rows)) in
   Printf.printf "%-12s %18.1f %18.1f %7.1fx  (A-QED DAC'20 reports ~37x)\n" "OVERALL" g c
-    (c /. g)
+    (c /. g);
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* R-ROB1: robustness — fault injection, starved budgets, escalation     *)
@@ -1366,7 +1023,10 @@ let rob_hook seed rate =
       | 2 -> Some Sat.Solver.Fault_cancel
       | _ -> Some (Sat.Solver.Fault_alloc 4096)
 
-let rob () =
+let robustness_block ?(flips = 0) ?(matrix = []) () =
+  R.(Obj [ ("verdict_flips", Int flips); ("matrix", Arr matrix) ])
+
+let rob env =
   header "R-ROB1  Robustness: faults, starved budgets, escalation, watchdog";
   Printf.printf
     "Faults fire mid-solve (exhaustion / cancellation / allocation\n\
@@ -1377,73 +1037,71 @@ let rob () =
   let trials = 3 in
   Printf.printf "%-12s %6s %8s %9s %7s %12s\n" "design" "rate" "trials" "unknown" "flips"
     "escalation";
-  List.iter
-    (fun name ->
-      let e = Registry.find name in
-      let bound = e.Entry.rec_bound in
-      let reference = Checks.gqed e.Entry.design e.Entry.iface ~bound in
-      let ref_key = verdict_key reference in
-      (* Escalation recovery: starve every query to a single conflict; the
-         retry ladder must regrow the budget until the fault-free verdict
-         comes back. *)
-      let starved = Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) () in
-      let recovered_report =
-        Checks.run_escalating
-          ~policy:{ Bmc.Escalate.default_policy with max_attempts = 8; growth = 8.0 }
-          ~limits:starved Checks.Gqed e.Entry.design e.Entry.iface ~bound
-      in
-      let recovered = verdict_key recovered_report = ref_key in
-      (match recovered_report.Checks.verdict with
-      | Checks.Unknown _ -> () (* stayed undecided: not a flip, just reported *)
-      | Checks.Pass _ | Checks.Fail _ -> if not recovered then incr rob_flips);
-      List.iter
-        (fun rate ->
-          let outcomes =
-            par_map
-              (fun trial ->
-                let limits =
-                  Bmc.limits ~fault:(rob_hook (Hashtbl.hash (name, rate, trial)) rate) ()
-                in
-                Checks.run ~limits Checks.Gqed e.Entry.design e.Entry.iface ~bound)
-              (List.init trials (fun i -> i))
+  let per_design =
+    List.map
+      (fun name ->
+        let e = Registry.find name in
+        let bound = e.Entry.rec_bound in
+        let ref_key = verdict_key (Checks.gqed e.Entry.design e.Entry.iface ~bound) in
+        (* Flips of a lane of keyed reports against the fault-free
+           reference. Faults may only turn verdicts into unknown, so just
+           the decided cells are compared. *)
+        let against_reference lane =
+          let decided =
+            List.filter_map
+              (fun (k, r) ->
+                if Checks.report_decided r then Some (k, verdict_key r) else None)
+              lane
           in
-          let unknown =
-            List.length
-              (List.filter
-                 (fun r ->
-                   match r.Checks.verdict with
-                   | Checks.Unknown _ -> true
-                   | Checks.Pass _ | Checks.Fail _ -> false)
-                 outcomes)
-          in
-          let flips =
-            List.length
-              (List.filter
-                 (fun r ->
-                   match r.Checks.verdict with
-                   | Checks.Unknown _ -> false
-                   | Checks.Pass _ | Checks.Fail _ -> verdict_key r <> ref_key)
-                 outcomes)
-          in
-          rob_flips := !rob_flips + flips;
-          Printf.printf "%-12s %6.3f %8d %9d %7d %12s%s\n%!" name rate trials unknown flips
-            (if recovered then "recovered"
-             else "gave-up (" ^ short_verdict recovered_report ^ ")")
-            (if flips > 0 then "  VERDICT FLIP" else "");
-          json_rob_rows :=
-            !json_rob_rows
-            @ [
-                {
-                  jr_design = name;
-                  jr_rate = rate;
-                  jr_trials = trials;
-                  jr_unknown = unknown;
-                  jr_flips = flips;
-                  jr_recovered = recovered;
-                };
-              ])
-        rates)
-    designs;
+          R.lane_flips (List.map (fun (k, _) -> (k, ref_key)) decided) decided
+        in
+        (* Escalation recovery: starve every query to a single conflict; the
+           retry ladder must regrow the budget until the fault-free verdict
+           comes back. *)
+        let starved = Bmc.limits ~budget:(Sat.Solver.budget ~conflicts:1 ()) () in
+        let recovered_report =
+          Checks.run_escalating
+            ~policy:{ Bmc.Escalate.default_policy with max_attempts = 8; growth = 8.0 }
+            ~limits:starved Checks.Gqed e.Entry.design e.Entry.iface ~bound
+        in
+        let recovered = verdict_key recovered_report = ref_key in
+        let rows =
+          List.map
+            (fun rate ->
+              let outcomes =
+                par_map env
+                  (fun trial ->
+                    let limits =
+                      Bmc.limits ~fault:(rob_hook (Hashtbl.hash (name, rate, trial)) rate) ()
+                    in
+                    Checks.run ~limits Checks.Gqed e.Entry.design e.Entry.iface ~bound)
+                  (List.init trials Fun.id)
+              in
+              let unknown =
+                List.length (List.filter (fun r -> not (Checks.report_decided r)) outcomes)
+              in
+              let flips = against_reference (List.mapi (fun i r -> (i, r)) outcomes) in
+              Printf.printf "%-12s %6.3f %8d %9d %7d %12s%s\n%!" name rate trials unknown
+                flips
+                (if recovered then "recovered"
+                 else "gave-up (" ^ short_verdict recovered_report ^ ")")
+                (if flips > 0 then "  VERDICT FLIP" else "");
+              ( flips,
+                R.(
+                  Row
+                    [
+                      ("design", Str name);
+                      ("rate", Num (3, rate));
+                      ("trials", Int trials);
+                      ("unknown", Int unknown);
+                      ("flips", Int flips);
+                      ("escalation_recovered", Bool recovered);
+                    ]) ))
+            rates
+        in
+        (against_reference [ ((), recovered_report) ], rows))
+      designs
+  in
   (* Watchdog: a deliberately oversized query runs next to a small one under
      a per-task deadline. The fan-out must not block on the big query — the
      watchdog cancels it, its row comes back cancelled, and the sibling's
@@ -1451,15 +1109,15 @@ let rob () =
   Printf.printf "\nwatchdog (per-task deadline 0.3s, 2 tasks):\n";
   let big = Registry.find "mmio_engine" in
   let small = Registry.find "hamming74" in
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Par.map_governed ~jobs:2 ~deadline:0.3
-      (fun token (e, bound) ->
-        Checks.gqed ~limits:(Bmc.limits ~cancel:token ()) e.Entry.design e.Entry.iface
-          ~bound)
-      [ (big, 3 * big.Entry.rec_bound); (small, small.Entry.rec_bound) ]
+  let tasks = [ (big, 3 * big.Entry.rec_bound); (small, small.Entry.rec_bound) ] in
+  let results, wall =
+    time (fun () ->
+        Par.map_governed ~jobs:2 ~deadline:0.3
+          (fun token (e, bound) ->
+            Checks.gqed ~limits:(Bmc.limits ~cancel:token ()) e.Entry.design e.Entry.iface
+              ~bound)
+          tasks)
   in
-  let wall = Unix.gettimeofday () -. t0 in
   List.iter2
     (fun (e, bound) (result, dt) ->
       match result with
@@ -1469,23 +1127,31 @@ let rob () =
       | Error exn ->
           Printf.printf "  %-12s bound %-3d -> raised %s\n" e.Entry.name bound
             (Printexc.to_string exn))
-    [ (big, 3 * big.Entry.rec_bound); (small, small.Entry.rec_bound) ]
-    results;
-  (match results with
-  | [ (Ok r_big, _); (Ok r_small, _) ] ->
-      (match r_big.Checks.verdict with
-      | Checks.Unknown _ -> ()
-      | Checks.Pass _ | Checks.Fail _ ->
+    tasks results;
+  let sibling_affected =
+    match results with
+    | [ (Ok r_big, _); (Ok r_small, _) ] ->
+        if Checks.report_decided r_big then
           (* Finishing before the deadline is legal; it just means the
              machine is fast enough that the demo did not demonstrate. *)
-          Printf.printf "  (oversized query finished before the deadline)\n");
-      (match r_small.Checks.verdict with
-      | Checks.Pass _ -> ()
-      | Checks.Fail _ | Checks.Unknown _ ->
-          incr rob_flips;
-          Printf.printf "  SIBLING AFFECTED: small query did not pass\n")
-  | _ -> ());
-  Printf.printf "  fan-out wall clock: %.2fs (a hung query no longer blocks the run)\n" wall
+          Printf.printf "  (oversized query finished before the deadline)\n";
+        if passed r_small then 0
+        else begin
+          Printf.printf "  SIBLING AFFECTED: small query did not pass\n";
+          1
+        end
+    | _ -> 0
+  in
+  Printf.printf "  fan-out wall clock: %.2fs (a hung query no longer blocks the run)\n" wall;
+  let rows = List.concat_map snd per_design in
+  let flips =
+    List.fold_left (fun n (recovery, _) -> n + recovery) sibling_affected per_design
+    + List.fold_left (fun n (f, _) -> n + f) 0 rows
+  in
+  {
+    blocks = [ ("robustness", robustness_block ~flips ~matrix:(List.map snd rows) ()) ];
+    gates = [ { count = flips; what = "fault-induced verdict flip(s)" } ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* P1: clause-sharing portfolio SAT. Every cell of a design x mutant     *)
@@ -1493,13 +1159,30 @@ let rob () =
 (* the verdicts must agree exactly. Cells run sequentially so the        *)
 (* per-cell wall-clock comparison is not perturbed by sibling cells.     *)
 
-let p1 () =
+let portfolio_block ?(effective = 1) ?(flips = 0) ?(geo = nan) ?(exported = 0)
+    ?(imported = 0) ?(matrix = []) cfg =
+  R.(
+    Obj
+      [
+        ("requested_workers", Int cfg.portfolio);
+        ("effective_workers", Int effective);
+        ("share", Bool cfg.share);
+        ("verdict_flips", Int flips);
+        ("speedup_geo_mean", Num (4, geo));
+        ("clauses_exported", Int exported);
+        ("clauses_imported", Int imported);
+        ( "share_hit_rate",
+          Num (4, if exported = 0 then nan else float_of_int imported /. float_of_int exported)
+        );
+        ("matrix", Arr matrix);
+      ])
+
+let p1 env =
   header "P1  Clause-sharing portfolio SAT: diversified workers race per query";
-  let requested = !portfolio_width in
+  let requested = env.cfg.portfolio in
   (* The portfolio is p1's only parallelism (cells run sequentially), so
      the jobs x portfolio product reduces to the portfolio width here. *)
   let effective, clamped = Par.clamp_inner ~jobs:1 ~inner:requested in
-  json_portfolio_effective := effective;
   if clamped then
     Printf.printf
       "bench: warning: --portfolio %d exceeds %d available core(s); portfolio clamped \
@@ -1510,107 +1193,116 @@ let p1 () =
      Verdicts are compared cell-by-cell against the single-solver lane; any\n\
      flip fails the whole bench run (exit 1).\n\n"
     effective
-    (if !portfolio_share && effective > 1 then ", sharing learnt clauses"
+    (if env.cfg.share && effective > 1 then ", sharing learnt clauses"
      else ", no clause sharing");
-  let pconfig = Sat.Portfolio.config ~workers:effective ~share:!portfolio_share () in
-  let single_limits = bench_limits () in
+  let pconfig = Sat.Portfolio.config ~workers:effective ~share:env.cfg.share () in
+  let single_limits = env.cfg.limits in
   let portfolio_limits = { single_limits with Bmc.l_portfolio = Some pconfig } in
   (* Default subset: the hardest suite members (deep recommended bounds or
      wide state), where per-query solver time dominates the check. *)
-  let default_names =
-    [ "accum"; "maxtrack"; "seqdet"; "hamming74"; "graycodec"; "movavg4" ]
-  in
   let entries =
-    match !design_filter with
-    | Some _ -> s1_entries ()
-    | None -> List.filter (fun e -> List.mem e.Entry.name default_names) Registry.all
+    entries env
+      ~default:[ "accum"; "maxtrack"; "seqdet"; "hamming74"; "graycodec"; "movavg4" ]
   in
   Printf.printf "%-12s %-18s %-16s %-16s %7s %7s %7s %9s %9s\n" "design" "case" "single"
     "portfolio" "t1(s)" "tN(s)" "speedup" "exported" "imported";
-  let speedups = ref [] in
-  List.iter
-    (fun e ->
-      let bound = e.Entry.rec_bound in
-      let cells =
-        ("correct", e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s"
-                   (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 mutant ))
-             (mutant_suite e)
-      in
-      List.iter
-        (fun (label, design) ->
-          let single, t_single =
-            time (fun () ->
-                record
-                  (Checks.run ~limits:single_limits Checks.Gqed design e.Entry.iface
-                     ~bound))
-          in
-          let portfolio, t_portfolio =
-            time (fun () ->
-                record
-                  (Checks.run ~limits:portfolio_limits Checks.Gqed design e.Entry.iface
-                     ~bound))
-          in
-          let vk_single = verdict_key single in
-          let vk_portfolio = verdict_key portfolio in
-          let flip = vk_single <> vk_portfolio in
-          if flip then incr portfolio_flips;
-          (* Only the correct cells feed the speedup figure: their queries
-             are the all-UNSAT deepening ladder, the hard subset. *)
-          if label = "correct" && t_portfolio > 0.0 then
-            speedups := (t_single /. t_portfolio) :: !speedups;
-          let st = portfolio.Checks.sat_stats in
-          Printf.printf "%-12s %-18s %-16s %-16s %7.2f %7.2f %7.2f %9d %9d%s\n%!"
-            e.Entry.name label vk_single vk_portfolio t_single t_portfolio
-            (if t_portfolio > 0.0 then t_single /. t_portfolio else Float.nan)
-            st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
-            (if flip then "  VERDICT FLIP" else "");
-          json_portfolio_rows :=
-            !json_portfolio_rows
-            @ [
-                {
-                  jpf_design = e.Entry.name;
-                  jpf_case = label;
-                  jpf_verdict_single = vk_single;
-                  jpf_verdict_portfolio = vk_portfolio;
-                  jpf_time_single_s = t_single;
-                  jpf_time_portfolio_s = t_portfolio;
-                  jpf_exported = st.Sat.Solver.clauses_exported;
-                  jpf_imported = st.Sat.Solver.clauses_imported;
-                };
-              ])
-        cells)
-    entries;
-  (match !speedups with
-  | [] -> ()
-  | ss ->
-      let geo =
-        exp (List.fold_left (fun a s -> a +. log s) 0.0 ss /. float_of_int (List.length ss))
-      in
-      json_portfolio_geomean := geo;
-      Printf.printf
-        "\nhard-query (correct-cell) wall-clock speedup, geo-mean over %d designs: %.2fx\n"
-        (List.length ss) geo;
-      if effective > 1 && geo <= 1.0 then
+  let cells =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun (label, design) ->
+            let run limits () =
+              record env
+                (Checks.run ~limits Checks.Gqed design e.Entry.iface
+                   ~bound:e.Entry.rec_bound)
+            in
+            let single, t_single = time (run single_limits) in
+            let portfolio, t_portfolio = time (run portfolio_limits) in
+            let vk_single = verdict_key single and vk_portfolio = verdict_key portfolio in
+            let st = portfolio.Checks.sat_stats in
+            Printf.printf "%-12s %-18s %-16s %-16s %7.2f %7.2f %7.2f %9d %9d%s\n%!"
+              e.Entry.name label vk_single vk_portfolio t_single t_portfolio
+              (if t_portfolio > 0.0 then t_single /. t_portfolio else Float.nan)
+              st.Sat.Solver.clauses_exported st.Sat.Solver.clauses_imported
+              (if vk_single <> vk_portfolio then "  VERDICT FLIP" else "");
+            ((e.Entry.name, label), vk_single, vk_portfolio, t_single, t_portfolio, st))
+          (matrix_cells e))
+      entries
+  in
+  let flips =
+    R.lane_flips
+      (List.map (fun (k, vs, _, _, _, _) -> (k, vs)) cells)
+      (List.map (fun (k, _, vp, _, _, _) -> (k, vp)) cells)
+  in
+  (* Only the correct cells feed the speedup figure: their queries are the
+     all-UNSAT deepening ladder, the hard subset. *)
+  let pairs =
+    List.filter_map
+      (fun ((_, label), _, _, ts, tp, _) ->
+        if label = "correct" && tp > 0.0 then Some (ts, tp) else None)
+      cells
+  in
+  let geo =
+    match R.geo_mean_ratio pairs with
+    | None -> nan
+    | Some geo ->
         Printf.printf
-          "  note: portfolio no faster than single-solver on this machine/run\n"
-      else if effective = 1 then
-        Printf.printf
-          "  note: 1 effective worker (requested %d) — speedup comparison measures \
-           portfolio overhead only\n"
-          requested);
-  if !portfolio_flips = 0 then
-    Printf.printf "portfolio vs single verdicts: all %d cells agree\n"
-      (List.length !json_portfolio_rows)
+          "\nhard-query (correct-cell) wall-clock speedup, geo-mean over %d designs: %.2fx\n"
+          (List.length pairs) geo;
+        if effective > 1 && geo <= 1.0 then
+          Printf.printf "  note: portfolio no faster than single-solver on this machine/run\n"
+        else if effective = 1 then
+          Printf.printf
+            "  note: 1 effective worker (requested %d) — speedup comparison measures \
+             portfolio overhead only\n"
+            requested;
+        geo
+  in
+  if flips = 0 then
+    Printf.printf "portfolio vs single verdicts: all %d cells agree\n" (List.length cells);
+  let matrix =
+    List.map
+      (fun ((design, label), vs, vp, ts, tp, st) ->
+        R.(
+          Row
+            [
+              ("design", Str design);
+              ("case", Str label);
+              ("verdict_single", Str vs);
+              ("verdict_portfolio", Str vp);
+              ("time_single_s", Num (3, ts));
+              ("time_portfolio_s", Num (3, tp));
+              ("exported", Int st.Sat.Solver.clauses_exported);
+              ("imported", Int st.Sat.Solver.clauses_imported);
+            ]))
+      cells
+  in
+  let sum f = List.fold_left (fun n (_, _, _, _, _, st) -> n + f st) 0 cells in
+  let exported = sum (fun st -> st.Sat.Solver.clauses_exported)
+  and imported = sum (fun st -> st.Sat.Solver.clauses_imported) in
+  {
+    blocks =
+      [
+        ( "portfolio",
+          portfolio_block ~effective ~flips ~geo ~exported ~imported ~matrix env.cfg );
+      ];
+    gates = [ { count = flips; what = "portfolio-vs-single verdict flip(s)" } ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* OBS: tracing is verdict-invisible and emitted traces are well-formed. *)
 
-let obs_exp () =
+let obs_block ?(events = 0) ?wellformed ?(flips = 0) () =
+  R.(
+    Row
+      [
+        ("enabled", Bool (Obs.on ()));
+        ("trace_events", Int events);
+        ("trace_wellformed", match wellformed with None -> Null | Some b -> Bool b);
+        ("verdict_flips", Int flips);
+      ])
+
+let obs_exp env =
   header "OBS  Observability: tracing is verdict-invisible, traces well-formed";
   Printf.printf
     "Each design is checked once with the Obs layer off and once with span\n\
@@ -1622,51 +1314,58 @@ let obs_exp () =
   let entries = List.filter (fun e -> List.mem e.Entry.name names) Registry.all in
   Printf.printf "%-12s %-12s %-12s %8s %8s %10s\n" "design" "untraced" "traced"
     "t_off(s)" "t_on(s)" "trace";
-  List.iter
-    (fun e ->
-      let bound = e.Entry.rec_bound in
-      let run1 () =
-        record
-          (Checks.run ~limits:(bench_limits ()) Checks.Gqed e.Entry.design
-             e.Entry.iface ~bound)
-      in
-      Obs.disable ();
-      let plain, t_off = time run1 in
-      Obs.Trace.reset ();
-      Obs.enable ();
-      let traced, t_on = time run1 in
-      let events = Obs.Trace.events () in
-      if not was_on then Obs.disable ();
-      let trace_cell =
-        match Obs.Trace.check events with
-        | _ when events = [] ->
-            incr obs_malformed;
-            "EMPTY"
-        | Ok () -> Printf.sprintf "%d ok" (List.length events)
-        | Error _ ->
-            incr obs_malformed;
-            "MALFORMED"
-      in
-      obs_trace_events := !obs_trace_events + List.length events;
-      obs_trace_wellformed :=
-        Some
-          (Option.value !obs_trace_wellformed ~default:true
-          && trace_cell <> "MALFORMED" && trace_cell <> "EMPTY");
-      let vk_plain = verdict_key plain and vk_traced = verdict_key traced in
-      let flip = vk_plain <> vk_traced in
-      if flip then incr obs_flips;
-      Printf.printf "%-12s %-12s %-12s %8.2f %8.2f %10s%s\n%!" e.Entry.name vk_plain
-        vk_traced t_off t_on trace_cell
-        (if flip then "  VERDICT FLIP" else ""))
-    entries;
-  if !obs_flips = 0 && !obs_malformed = 0 then
+  let rows =
+    List.map
+      (fun e ->
+        let run1 () =
+          record env
+            (Checks.run ~limits:env.cfg.limits Checks.Gqed e.Entry.design e.Entry.iface
+               ~bound:e.Entry.rec_bound)
+        in
+        Obs.disable ();
+        let plain, t_off = time run1 in
+        Obs.Trace.reset ();
+        Obs.enable ();
+        let traced, t_on = time run1 in
+        let events = Obs.Trace.events () in
+        if not was_on then Obs.disable ();
+        let wellformed, trace_cell =
+          match Obs.Trace.check events with
+          | _ when events = [] -> (false, "EMPTY")
+          | Ok () -> (true, Printf.sprintf "%d ok" (List.length events))
+          | Error _ -> (false, "MALFORMED")
+        in
+        let vk_plain = verdict_key plain and vk_traced = verdict_key traced in
+        Printf.printf "%-12s %-12s %-12s %8.2f %8.2f %10s%s\n%!" e.Entry.name vk_plain
+          vk_traced t_off t_on trace_cell
+          (if vk_plain <> vk_traced then "  VERDICT FLIP" else "");
+        (e.Entry.name, vk_plain, vk_traced, List.length events, wellformed))
+      entries
+  in
+  let flips =
+    R.lane_flips
+      (List.map (fun (n, p, _, _, _) -> (n, p)) rows)
+      (List.map (fun (n, _, t, _, _) -> (n, t)) rows)
+  in
+  let malformed = List.length (List.filter (fun (_, _, _, _, ok) -> not ok) rows) in
+  if flips = 0 && malformed = 0 then
     Printf.printf "\ntraced vs untraced verdicts: all %d designs agree, traces well-formed\n"
-      (List.length entries)
+      (List.length entries);
+  let events = List.fold_left (fun n (_, _, _, k, _) -> n + k) 0 rows in
+  {
+    blocks =
+      [ ("obs", obs_block ~events ~wellformed:(malformed = 0) ~flips ()) ];
+    gates =
+      [
+        { count = flips; what = "traced-vs-untraced verdict flip(s)" };
+        { count = malformed; what = "malformed or empty trace(s) in the obs experiment" };
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure kernel.    *)
 
-let micro () =
+let micro _env =
   header "Micro-benchmarks (Bechamel): per-experiment computational kernels";
   let open Bechamel in
   let accum = Registry.find "accum" in
@@ -1745,7 +1444,8 @@ let micro () =
         else Printf.sprintf "%.0f ns" ns
       in
       Printf.printf "%-36s %16s\n" name human)
-    rows
+    rows;
+  nothing
 
 (* ------------------------------------------------------------------ *)
 (* R2: crash-safe campaigns — a journaled run killed at a random record
@@ -1754,9 +1454,26 @@ let micro () =
    the supervisor must restart crashing workers without taking the
    campaign down. *)
 
-let r2_default = [ "accum"; "hamming74"; "graycodec" ]
+(* The r2 members of the report's "campaign" block; the block itself also
+   carries the run's --checkpoint journal (see [report]). *)
+let campaign_members ?(records = 0) ?(kill_at = 0) ?(skipped = 0) ?(rerun = 0)
+    ?(flips = 0) ?(write_errors = 0) ?(recovered_bytes = 0) ?(restarts = 0)
+    ?(gave_up = 0) ?(matrix = []) () =
+  R.
+    [
+      ("records", Int records);
+      ("kill_at", Int kill_at);
+      ("skipped_on_resume", Int skipped);
+      ("rerun", Int rerun);
+      ("verdict_flips", Int flips);
+      ("write_errors", Int write_errors);
+      ("recovered_bytes", Int recovered_bytes);
+      ("supervisor_restarts", Int restarts);
+      ("supervisor_gave_up", Int gave_up);
+      ("matrix", Arr matrix);
+    ]
 
-let r2 () =
+let r2 env =
   header "R2  Crash-safe campaigns: kill/resume equivalence + supervised restarts";
   Printf.printf
     "A (design x case) G-QED campaign is journaled to a write-ahead log,\n\
@@ -1765,32 +1482,22 @@ let r2 () =
      second lane journals under injected I/O faults (torn / short write /\n\
      ENOSPC) — write errors degrade durability, never verdicts. Any\n\
      disagreement fails the whole bench run (exit 1).\n\n";
-  let wanted = match !design_filter with Some ds -> ds | None -> r2_default in
-  let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
+  let entries = entries env ~default:[ "accum"; "hamming74"; "graycodec" ] in
   let cells =
     List.concat_map
-      (fun e ->
-        ("correct", e, e.Entry.design)
-        :: List.map
-             (fun (m, mutant) ->
-               ( Printf.sprintf "%s:%s"
-                   (Mutation.operator_to_string m.Mutation.operator)
-                   m.Mutation.target,
-                 e,
-                 mutant ))
-             (mutant_suite e))
+      (fun e -> List.map (fun (label, d) -> (label, e, d)) (matrix_cells e))
       entries
   in
-  let limits = bench_limits () in
+  let limits = env.cfg.limits in
   (* One pass over the cells through a journal at [path]: supervised
      fan-out, decided journal hits are skipped on resume. Returns the
-     verdict matrix (input order) and the campaign stats. *)
+     verdict matrix keyed by (design, case) and the campaign stats. *)
   let run_campaign ?fault ~resume path =
     match Persist.Campaign.start ?fault ~resume ~force:false path with
     | Error msg -> failwith ("r2: " ^ msg)
     | Ok c ->
         let outcomes =
-          Par.Supervise.supervise ~jobs:!jobs
+          Par.Supervise.supervise ~jobs:env.cfg.jobs
             (fun _token (_label, e, design) ->
               let key =
                 Checks.campaign_key Checks.Gqed design e.Entry.iface
@@ -1803,7 +1510,7 @@ let r2 () =
               | None ->
                   let r, dt =
                     time (fun () ->
-                        record
+                        record env
                           (Checks.run ~limits Checks.Gqed design e.Entry.iface
                              ~bound:e.Entry.rec_bound))
                   in
@@ -1816,12 +1523,13 @@ let r2 () =
         let stats = Persist.Campaign.stats c in
         Persist.Campaign.close c;
         let verdicts =
-          List.map
-            (fun o ->
-              match o.Par.Supervise.s_result with
-              | Ok r -> verdict_key r
-              | Error cls -> "gave-up:" ^ Par.Supervise.class_to_string cls)
-            outcomes
+          List.map2
+            (fun (label, e, _) o ->
+              ( (e.Entry.name, label),
+                match o.Par.Supervise.s_result with
+                | Ok r -> verdict_key r
+                | Error cls -> "gave-up:" ^ Par.Supervise.class_to_string cls ))
+            cells outcomes
         in
         (verdicts, stats)
   in
@@ -1834,29 +1542,18 @@ let r2 () =
   let j_kill = tmp_journal "kill" in
   let full, stats_full = run_campaign ~resume:false j_kill in
   let n_records = stats_full.Persist.Campaign.c_appended in
-  json_campaign_records := n_records;
   (* Kill: keep a seeded-random prefix of the journal plus a torn partial
      record — the exact on-disk state a SIGKILL mid-append leaves. *)
-  let rand = Random.State.make [| 0x9e2; 0xd15c; !seed; List.length cells |] in
+  let rand = Random.State.make [| 0x9e2; 0xd15c; env.cfg.seed; List.length cells |] in
   let kill_at = if n_records <= 1 then 0 else Random.State.int rand n_records in
-  json_campaign_kill_at := kill_at;
   Persist.Journal.chop ~torn_bytes:9 ~keep:kill_at j_kill;
   let resumed, stats_res = run_campaign ~resume:true j_kill in
-  json_campaign_skipped := stats_res.Persist.Campaign.c_hits;
-  json_campaign_rerun := stats_res.Persist.Campaign.c_appended;
-  json_campaign_recovered_bytes := stats_res.Persist.Campaign.c_recovered_bytes;
   Printf.printf "%-12s %-18s %-16s %-16s\n" "design" "case" "full" "resumed";
   List.iter2
-    (fun (label, e, _) (vf, vr) ->
-      let flip = vf <> vr in
-      if flip then incr campaign_flips;
-      Printf.printf "%-12s %-18s %-16s %-16s%s\n%!" e.Entry.name label vf vr
-        (if flip then "  VERDICT FLIP" else "");
-      json_campaign_rows :=
-        !json_campaign_rows
-        @ [ { jk_design = e.Entry.name; jk_case = label; jk_full = vf; jk_resumed = vr } ])
-    cells
-    (List.combine full resumed);
+    (fun ((design, label), vf) (_, vr) ->
+      Printf.printf "%-12s %-18s %-16s %-16s%s\n%!" design label vf vr
+        (if vf <> vr then "  VERDICT FLIP" else ""))
+    full resumed;
   Printf.printf
     "\nkilled at record %d/%d (+9 torn bytes): %d skipped from the journal, %d re-run, \
      %d corrupt tail byte(s) dropped\n"
@@ -1875,14 +1572,9 @@ let r2 () =
   in
   let j_fault = tmp_journal "fault" in
   let faulty, stats_faulty = run_campaign ~fault ~resume:false j_fault in
-  json_campaign_write_errors := stats_faulty.Persist.Campaign.c_write_errors;
-  let count_flips a b =
-    List.fold_left2 (fun n x y -> if x <> y then n + 1 else n) 0 a b
-  in
-  let fault_flips = count_flips full faulty in
+  let fault_flips = R.lane_flips full faulty in
   let resumed_faulty, _ = run_campaign ~resume:true j_fault in
-  let fault_resume_flips = count_flips full resumed_faulty in
-  campaign_flips := !campaign_flips + fault_flips + fault_resume_flips;
+  let fault_resume_flips = R.lane_flips full resumed_faulty in
   Printf.printf
     "I/O-fault lane: %d append(s) lost to injected faults, %d flip(s) while faulting, \
      %d flip(s) after resuming the damaged journal\n"
@@ -1902,35 +1594,65 @@ let r2 () =
         name)
       demo
   in
-  let restarts = ref 0 and gave_up = ref 0 in
-  List.iter2
-    (fun (name, crashes) o ->
-      restarts := !restarts + o.Par.Supervise.s_attempts - 1;
-      let ok =
-        match o.Par.Supervise.s_result with
-        | Ok n -> n = name && crashes < o.Par.Supervise.s_attempts
-        | Error (Par.Supervise.Crash _) ->
-            incr gave_up;
-            crashes = max_int
-        | Error _ -> false
-      in
-      Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name
-        (match o.Par.Supervise.s_result with
-        | Ok _ -> "succeeded"
-        | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")")
-        o.Par.Supervise.s_attempts;
-      (* A misbehaving supervisor is a campaign-correctness bug: gate it
-         like a flip. *)
-      if not ok then incr campaign_flips)
-    demo outcomes;
-  json_campaign_restarts := !restarts;
-  json_campaign_gave_up := !gave_up;
+  let supervised =
+    List.map2
+      (fun (name, crashes) o ->
+        Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name
+          (match o.Par.Supervise.s_result with
+          | Ok _ -> "succeeded"
+          | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")")
+          o.Par.Supervise.s_attempts;
+        let gave_up, ok =
+          match o.Par.Supervise.s_result with
+          | Ok n -> (false, n = name && crashes < o.Par.Supervise.s_attempts)
+          | Error (Par.Supervise.Crash _) -> (true, crashes = max_int)
+          | Error _ -> (false, false)
+        in
+        (o.Par.Supervise.s_attempts - 1, gave_up, ok))
+      demo outcomes
+  in
+  let count p = List.length (List.filter p supervised) in
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j_kill; j_fault ];
-  if !campaign_flips = 0 then
+  (* A misbehaving supervisor is a campaign-correctness bug: gate it like a
+     flip. *)
+  let flips =
+    R.lane_flips full resumed + fault_flips + fault_resume_flips
+    + count (fun (_, _, ok) -> not ok)
+  in
+  if flips = 0 then
     Printf.printf
       "kill/resume, fault and supervision lanes: all %d cells reproduce the \
        uninterrupted matrix\n"
-      (List.length cells)
+      (List.length cells);
+  let matrix =
+    List.map2
+      (fun ((design, label), vf) (_, vr) ->
+        R.(
+          Row
+            [
+              ("design", Str design);
+              ("case", Str label);
+              ("full", Str vf);
+              ("resumed", Str vr);
+            ]))
+      full resumed
+  in
+  {
+    blocks =
+      [
+        ( "campaign",
+          R.Obj
+            (campaign_members ~records:n_records ~kill_at
+               ~skipped:stats_res.Persist.Campaign.c_hits
+               ~rerun:stats_res.Persist.Campaign.c_appended ~flips
+               ~write_errors:stats_faulty.Persist.Campaign.c_write_errors
+               ~recovered_bytes:stats_res.Persist.Campaign.c_recovered_bytes
+               ~restarts:(List.fold_left (fun n (r, _, _) -> n + r) 0 supervised)
+               ~gave_up:(count (fun (_, g, _) -> g))
+               ~matrix ()) );
+      ];
+    gates = [ { count = flips; what = "kill/resume campaign verdict flip(s)" } ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* D1: distributed sharded campaigns — the same campaign cells solved    *)
@@ -1939,11 +1661,6 @@ let r2 () =
 (* supervised-restart lane. Workers are this executable re-exec'd (see   *)
 (* lib/dist/DESIGN.md), so the solver rebuilds its key -> task table     *)
 (* from the design names carried in [arg] alone.                         *)
-
-(* Default subset: combined mutant matrices solve in seconds yet leave
-   enough per-cell work for the process fan-out to amortize its spawn
-   cost. --designs overrides. *)
-let dist_default = [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ]
 
 let dist_cells e =
   let bound = e.Entry.rec_bound in
@@ -1989,24 +1706,53 @@ let dist_solver ~arg key =
 
 let () = Dist.register "bench-campaign" dist_solver
 
-(* Payload bytes embed wall-clock solver stats, so lane equality is over
-   decoded verdicts, exactly what the tables print. *)
-let dist_verdict r =
-  if r.Dist.r_payload = "" then "<no payload>"
-  else
-    match Checks.decode_report r.Dist.r_payload with
-    | Some rep -> verdict_key rep
-    | None -> "<undecodable>"
+(* A lane's verdict matrix keyed by cell. Payload bytes embed wall-clock
+   solver stats, so lane equality is over decoded verdicts, exactly what
+   the tables print. *)
+let dist_matrix rows =
+  List.map
+    (fun r ->
+      ( r.Dist.r_key,
+        if r.Dist.r_payload = "" then "<no payload>"
+        else
+          match Checks.decode_report r.Dist.r_payload with
+          | Some rep -> verdict_key rep
+          | None -> "<undecodable>" ))
+    rows
 
-let dist_exp () =
+let dist_block ?(workers = 0) ?(flips = 0) ?(geo = nan) ?(restarts = 0) ?(killed = false)
+    ?(resume_flips = 0) ?(skipped = 0) ?(merged = 0) ?(matrix = []) cfg =
+  R.(
+    Obj
+      [
+        ("workers", Int workers);
+        ("batch", Int cfg.batch);
+        ("verdict_flips", Int flips);
+        ("speedup_geo_mean", Num (4, geo));
+        ("worker_restarts", Int restarts);
+        ( "kill",
+          Row
+            [
+              ("killed", Bool killed);
+              ("resume_flips", Int resume_flips);
+              ("skipped_on_resume", Int skipped);
+              ("merged_records", Int merged);
+            ] );
+        ("matrix", Arr matrix);
+      ])
+
+let dist_exp env =
   header "D1  Distributed campaigns: serial vs N-worker-process matrix";
-  let wanted = match !design_filter with Some ds -> ds | None -> dist_default in
-  let entries = List.filter (fun e -> List.mem e.Entry.name wanted) Registry.all in
-  let workers =
-    if !dist_workers > 0 then !dist_workers else max 2 (min 4 (Par.default_jobs ()))
+  (* Default subset: combined mutant matrices solve in seconds yet leave
+     enough per-cell work for the process fan-out to amortize its spawn
+     cost. *)
+  let entries =
+    entries env ~default:[ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ]
   in
-  json_dist_workers := workers;
-  let policy = dist_policy () in
+  let cfg = env.cfg in
+  let workers =
+    if cfg.workers > 0 then cfg.workers else max 2 (min 4 (Par.default_jobs ()))
+  in
   Printf.printf
     "The combined campaign over %d design(s) is solved by the same\n\
      registered solver twice per trial: serially in-process (workers=1)\n\
@@ -2015,7 +1761,7 @@ let dist_exp () =
      must agree cell-for-cell; any flip fails the whole bench run\n\
      (exit 1). A kill lane then SIGKILLs a worker mid-campaign and\n\
      resumes from the leftover shards.\n\n"
-    (List.length entries) workers !dist_batch;
+    (List.length entries) workers cfg.batch;
   let tmp tag =
     let f = Filename.temp_file ("gqed-dist-" ^ tag) ".jrnl" in
     Sys.remove f;
@@ -2026,104 +1772,106 @@ let dist_exp () =
       (fun f -> try Sys.remove f with Sys_error _ -> ())
       (path :: List.init 16 (Dist.worker_journal path))
   in
+  let dist_run ?kill ~workers ~journal ~arg ~resume cells =
+    Dist.run ~workers ~batch:cfg.batch ~policy:cfg.policy ?kill ~resume ~force:false
+      ~journal ~solver:"bench-campaign" ~arg cells
+  in
   let run_lane ?kill ~workers ~journal ~arg ~resume cells =
-    match
-      Dist.run ~workers ~batch:!dist_batch ~policy ?kill ~resume ~force:false
-        ~journal ~solver:"bench-campaign" ~arg cells
-    with
+    match dist_run ?kill ~workers ~journal ~arg ~resume cells with
     | Ok (rows, st) -> (rows, st)
     | Error msg -> failwith ("dist: " ^ msg)
   in
   let per_design = List.map (fun e -> (e, dist_cells e)) entries in
   let all_cells = List.concat_map snd per_design in
   let all_arg = String.concat "," (List.map (fun e -> e.Entry.name) entries) in
-  let count_flips a b =
-    List.fold_left2
-      (fun n x y -> if dist_verdict x <> dist_verdict y then n + 1 else n)
-      0 a b
-  in
   (* Throughput is measured on the combined campaign, where cross-design
      parallelism exists — a single design's matrix is usually dominated
      by its one hard all-UNSAT "correct" cell, which no amount of
-     sharding can split. Two trials feed the geo-mean. *)
-  let trials = 2 in
-  let pairs = ref [] in
-  let serial_rows = ref [] and dist_rows = ref [] in
-  for trial = 1 to trials do
-    let j1 = tmp "serial" and jn = tmp "par" in
-    let (rows1, _), t1 =
-      time (fun () -> run_lane ~workers:1 ~journal:j1 ~arg:all_arg ~resume:false all_cells)
-    in
-    let (rowsn, stn), tn =
-      time (fun () -> run_lane ~workers ~journal:jn ~arg:all_arg ~resume:false all_cells)
-    in
-    sweep j1;
-    sweep jn;
-    json_dist_restarts := !json_dist_restarts + stn.Dist.d_restarts;
-    let flips = count_flips rows1 rowsn in
-    dist_flips := !dist_flips + flips;
-    if t1 > 0.0 && tn > 0.0 then pairs := (t1, tn) :: !pairs;
-    Printf.printf "trial %d: %d cells — serial %.3fs, %d workers %.3fs (%s), %d flip(s)%s\n%!"
-      trial (List.length all_cells) t1 workers tn
-      (if tn > 0.0 then Printf.sprintf "%.2fx" (t1 /. tn) else "-")
-      flips
-      (if flips > 0 then "  VERDICT FLIP" else "");
-    if trial = 1 then begin
-      serial_rows := rows1;
-      dist_rows := rowsn
-    end
-  done;
+     sharding can split. Two trials feed the geo-mean; trial 1's rows
+     give the per-design table and the reference matrix. *)
+  let trials =
+    List.map
+      (fun trial ->
+        let j1 = tmp "serial" and jn = tmp "par" in
+        let (rows1, _), t1 =
+          time (fun () ->
+              run_lane ~workers:1 ~journal:j1 ~arg:all_arg ~resume:false all_cells)
+        in
+        let (rowsn, stn), tn =
+          time (fun () -> run_lane ~workers ~journal:jn ~arg:all_arg ~resume:false all_cells)
+        in
+        sweep j1;
+        sweep jn;
+        let flips = R.lane_flips (dist_matrix rows1) (dist_matrix rowsn) in
+        Printf.printf
+          "trial %d: %d cells — serial %.3fs, %d workers %.3fs (%s), %d flip(s)%s\n%!" trial
+          (List.length all_cells) t1 workers tn
+          (if tn > 0.0 then Printf.sprintf "%.2fx" (t1 /. tn) else "-")
+          flips
+          (if flips > 0 then "  VERDICT FLIP" else "");
+        (rows1, rowsn, (t1, tn), flips, stn.Dist.d_restarts))
+      [ 1; 2 ]
+  in
+  let serial_rows, dist_rows, _, _, _ = List.hd trials in
   (* Per-design matrix from trial 1. Times are sums of the journaled
      per-cell solve seconds (task-sums), so a design's row is not
      perturbed by which lane happened to co-schedule a sibling design. *)
   Printf.printf "\n%-12s %6s %14s %14s %6s\n" "design" "cells" "serial-sum(s)"
     "dist-sum(s)" "flips";
-  let idx = ref 0 in
-  List.iter
-    (fun (e, cells) ->
-      let n = List.length cells in
-      let slice rows = List.filteri (fun i _ -> i >= !idx && i < !idx + n) rows in
-      let s1 = slice !serial_rows and sn = slice !dist_rows in
-      let sum rows = List.fold_left (fun a r -> a +. r.Dist.r_seconds) 0.0 rows in
-      (* already counted into dist_flips by the trial loop *)
-      let flips = count_flips s1 sn in
-      Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum s1) (sum sn)
-        flips;
-      json_dist_rows :=
-        !json_dist_rows
-        @ [
-            {
-              jd_design = e.Entry.name;
-              jd_cells = n;
-              jd_serial_s = sum s1;
-              jd_dist_s = sum sn;
-              jd_flips = flips;
-            };
-          ];
-      idx := !idx + n)
-    per_design;
-  (match Report.geo_mean_ratio !pairs with
-  | Some g ->
-      json_dist_geomean := g;
-      Printf.printf
-        "\nserial-vs-%d-worker wall-clock speedup, geo-mean over %d trial(s): %.2fx\n"
-        workers (List.length !pairs) g;
-      if g <= 1.0 then
-        if Par.default_jobs () <= 1 then
-          Printf.printf
-            "  note: 1 core available — the fan-out can only measure its own \
-             overhead here (>1x needs >=2 cores)\n"
-        else
-          Printf.printf
-            "  note: worker processes no faster than in-process on this machine/run\n"
-  | None -> ());
+  let slice rows cells =
+    let keys = List.map (fun c -> c.Dist.cell_key) cells in
+    List.filter (fun r -> List.mem r.Dist.r_key keys) rows
+  in
+  let matrix =
+    List.map
+      (fun (e, cells) ->
+        let s1 = slice serial_rows cells and sn = slice dist_rows cells in
+        let sum rows = List.fold_left (fun a r -> a +. r.Dist.r_seconds) 0.0 rows in
+        (* already counted by the trial's flips *)
+        let flips = R.lane_flips (dist_matrix s1) (dist_matrix sn) in
+        let n = List.length cells in
+        Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum s1) (sum sn)
+          flips;
+        R.(
+          Row
+            [
+              ("design", Str e.Entry.name);
+              ("cells", Int n);
+              ("serial_task_s", Num (3, sum s1));
+              ("dist_task_s", Num (3, sum sn));
+              ("flips", Int flips);
+            ]))
+      per_design
+  in
+  let pairs =
+    List.filter_map
+      (fun (_, _, (t1, tn), _, _) -> if t1 > 0.0 && tn > 0.0 then Some (t1, tn) else None)
+      trials
+  in
+  let geo =
+    match R.geo_mean_ratio pairs with
+    | None -> nan
+    | Some g ->
+        Printf.printf
+          "\nserial-vs-%d-worker wall-clock speedup, geo-mean over %d trial(s): %.2fx\n"
+          workers (List.length pairs) g;
+        if g <= 1.0 then
+          if Par.default_jobs () <= 1 then
+            Printf.printf
+              "  note: 1 core available — the fan-out can only measure its own \
+               overhead here (>1x needs >=2 cores)\n"
+          else
+            Printf.printf
+              "  note: worker processes no faster than in-process on this machine/run\n";
+        g
+  in
   (* Kill/resume lane over the whole cell set: SIGKILL one worker
      mid-campaign (`Abort also downs its siblings, the hard variant),
      then resume — leftover shards merge first, journaled Unknowns
      re-solve, and the matrix must match the serial reference. *)
-  let reference = List.map dist_verdict !serial_rows in
+  let reference = dist_matrix serial_rows in
   let jk = tmp "kill" in
-  let rand = Random.State.make [| 0xd157; !seed |] in
+  let rand = Random.State.make [| 0xd157; cfg.seed |] in
   let kill =
     {
       Dist.k_worker = Random.State.int rand workers;
@@ -2131,26 +1879,15 @@ let dist_exp () =
       k_mode = `Abort;
     }
   in
+  (* An error is the kill landing; Ok means the campaign finished before
+     the kill point, which is still fine. *)
   let killed =
-    match
-      Dist.run ~workers ~batch:!dist_batch ~policy ~kill ~resume:false ~force:false
-        ~journal:jk ~solver:"bench-campaign" ~arg:all_arg all_cells
-    with
-    | Error _ -> true
-    | Ok _ -> false (* campaign finished before the kill point: still fine *)
+    Result.is_error
+      (dist_run ~kill ~workers ~journal:jk ~arg:all_arg ~resume:false all_cells)
   in
-  json_dist_killed := killed;
   let rows_r, st_r = run_lane ~workers ~journal:jk ~arg:all_arg ~resume:true all_cells in
   sweep jk;
-  let resume_flips =
-    List.fold_left2
-      (fun n v r -> if v <> dist_verdict r then n + 1 else n)
-      0 reference rows_r
-  in
-  dist_flips := !dist_flips + resume_flips;
-  json_dist_resume_flips := resume_flips;
-  json_dist_resume_skipped := st_r.Dist.d_skipped;
-  json_dist_resume_merged := st_r.Dist.d_merged;
+  let resume_flips = R.lane_flips reference (dist_matrix rows_r) in
   Printf.printf
     "kill/resume lane: worker %d SIGKILLed after %d ack(s)%s; resume merged %d \
      shard record(s), skipped %d, %d flip(s) vs serial%s\n"
@@ -2160,34 +1897,45 @@ let dist_exp () =
     (if resume_flips > 0 then "  VERDICT FLIP" else "");
   (* Supervised-restart lane: same kill, `Restart mode — the supervisor
      revives the worker and the run completes on its own. *)
-  (match entries with
-  | [] -> ()
-  | e :: _ ->
-      let cells = dist_cells e in
-      let jr = tmp "restart" in
-      let rows, st =
-        run_lane
-          ~kill:{ Dist.k_worker = 0; k_after = 1; k_mode = `Restart }
-          ~workers ~journal:jr ~arg:e.Entry.name ~resume:false cells
-      in
-      sweep jr;
-      let ref_rows = List.filteri (fun i _ -> i < List.length cells) !serial_rows in
-      let flips =
-        List.fold_left2
-          (fun n a b -> if dist_verdict a <> dist_verdict b then n + 1 else n)
-          0 ref_rows rows
-      in
-      dist_flips := !dist_flips + flips;
-      json_dist_restarts := !json_dist_restarts + st.Dist.d_restarts;
-      Printf.printf
-        "restart lane (%s): worker 0 SIGKILLed after 1 ack, %d supervised \
-         restart(s), %d give-up(s), %d flip(s)%s\n"
-        e.Entry.name st.Dist.d_restarts st.Dist.d_gave_up flips
-        (if flips > 0 then "  VERDICT FLIP" else ""));
-  if !dist_flips = 0 then
-    Printf.printf
-      "serial, distributed, kill/resume and restart lanes: all %d cells agree\n"
-      (List.length all_cells)
+  let restart_flips, restart_restarts =
+    match per_design with
+    | [] -> (0, 0)
+    | (e, cells) :: _ ->
+        let jr = tmp "restart" in
+        let rows, st =
+          run_lane
+            ~kill:{ Dist.k_worker = 0; k_after = 1; k_mode = `Restart }
+            ~workers ~journal:jr ~arg:e.Entry.name ~resume:false cells
+        in
+        sweep jr;
+        let flips =
+          R.lane_flips (dist_matrix (slice serial_rows cells)) (dist_matrix rows)
+        in
+        Printf.printf
+          "restart lane (%s): worker 0 SIGKILLed after 1 ack, %d supervised \
+           restart(s), %d give-up(s), %d flip(s)%s\n"
+          e.Entry.name st.Dist.d_restarts st.Dist.d_gave_up flips
+          (if flips > 0 then "  VERDICT FLIP" else "");
+        (flips, st.Dist.d_restarts)
+  in
+  let flips =
+    List.fold_left (fun n (_, _, _, f, _) -> n + f) (resume_flips + restart_flips) trials
+  in
+  if flips = 0 then
+    Printf.printf "serial, distributed, kill/resume and restart lanes: all %d cells agree\n"
+      (List.length all_cells);
+  let restarts =
+    List.fold_left (fun n (_, _, _, _, r) -> n + r) restart_restarts trials
+  in
+  {
+    blocks =
+      [
+        ( "dist",
+          dist_block ~workers ~flips ~geo ~restarts ~killed ~resume_flips
+            ~skipped:st_r.Dist.d_skipped ~merged:st_r.Dist.d_merged ~matrix cfg );
+      ];
+    gates = [ { count = flips; what = "distributed-vs-serial verdict flip(s)" } ];
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -2200,191 +1948,177 @@ let experiments =
     ("obs", obs_exp); ("micro", micro);
   ]
 
+(* The report tree: run-wide figures, one row per experiment run, then one
+   block per report section in a fixed order. A section no experiment
+   filled keeps its default; "solver" rows from t3 and f1 concatenate. *)
+let report env runs =
+  let block key default =
+    let merge a b = match (a, b) with R.Arr x, R.Arr y -> R.Arr (x @ y) | _, b -> b in
+    List.fold_left
+      (fun acc (_, _, o) ->
+        List.fold_left
+          (fun acc (k, j) -> if k = key then merge acc j else acc)
+          acc o.blocks)
+      default runs
+  in
+  let tm = Unix.localtime (Unix.gettimeofday ()) in
+  let campaign =
+    match block "campaign" (R.Obj (campaign_members ())) with
+    | R.Obj members ->
+        (* The --checkpoint journal is the whole run's, whichever
+           experiments' checks it served. *)
+        R.Obj
+          (( "checkpoint",
+             match env.cfg.checkpoint with None -> R.Null | Some p -> R.Str p )
+          :: ("checkpoint_skips", R.Int (Atomic.get env.tally.skips))
+          :: members)
+    | j -> j
+  in
+  R.(
+    Obj
+      [
+        ("schema", Str "gqed-bench/9");
+        ( "date",
+          Str
+            (Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+               tm.Unix.tm_mday) );
+        ("jobs", Int env.cfg.jobs);
+        ("recommended_domains", Int (Par.default_jobs ()));
+        ("unknown_verdicts", Int (Atomic.get env.tally.unknown));
+        ("escalation_attempts", Int (Atomic.get env.tally.escalations));
+        ("obs", block "obs" (obs_block ()));
+        ( "experiments",
+          Arr
+            (List.map
+               (fun (id, wall, _) -> Row [ ("id", Str id); ("wall_s", Num (3, wall)) ])
+               runs) );
+        ("solver", block "solver" (Arr []));
+        ("simplify", block "simplify" (simplify_block ()));
+        ("robustness", block "robustness" (robustness_block ()));
+        ("portfolio", block "portfolio" (portfolio_block env.cfg));
+        ("campaign", campaign);
+        ("dist", block "dist" (dist_block env.cfg));
+      ])
+
+(* Flags go through Stdlib.Arg; positional arguments are experiment ids.
+   Any bad value is a usage error (exit 2). *)
+let parse_args () =
+  let jobs = ref 1 and pipeline = ref Bmc.default_simplify in
+  let timeout = ref None and max_conflicts = ref None and escalate = ref true in
+  let portfolio = ref 4 and share = ref true in
+  let workers = ref 0 and batch = ref 2 in
+  let d = Par.Supervise.default_policy in
+  let max_restarts = ref d.Par.Supervise.max_restarts in
+  let backoff = ref d.Par.Supervise.backoff_s and retry_oom = ref true in
+  let designs = ref None and seed = ref 0 in
+  let checkpoint = ref None and resume = ref false and force = ref false in
+  let json = ref None and trace = ref None and metrics = ref None in
+  let trace_format = ref `Ndjson in
+  let ids = ref [] in
+  (* A flag taking a value that must parse and satisfy [ok]; anything else
+     is "FLAG expects [what]". *)
+  let valued parse ok what set name doc =
+    ( name,
+      Arg.String
+        (fun s ->
+          match parse s with
+          | Some v when ok v -> set v
+          | _ -> raise (Arg.Bad (name ^ " expects " ^ what))),
+      doc )
+  in
+  let positive = valued int_of_string_opt (fun n -> n >= 1) "a positive integer" in
+  let path r = valued Option.some (fun _ -> true) "a file path" (fun p -> r := Some p) in
+  let specs =
+    [
+      positive (( := ) jobs) "--jobs" "N fan tasks over N domains";
+      ( "--no-simplify",
+        Arg.Unit (fun () -> pipeline := Bmc.no_simplify),
+        " run t3, f1 and a2 with the formula-shrinking pipeline off" );
+      valued float_of_string_opt
+        (fun t -> t > 0.0)
+        "a positive number of seconds"
+        (fun t -> timeout := Some t)
+        "--timeout" "SEC per-query time budget";
+      positive
+        (fun n -> max_conflicts := Some n)
+        "--max-conflicts" "N per-query conflict budget";
+      ("--no-escalate", Arg.Clear escalate, " do not regrow exhausted budgets");
+      positive (( := ) portfolio) "--portfolio" "N portfolio workers of p1 (default 4)";
+      ("--no-share", Arg.Clear share, " no clause sharing between p1's workers");
+      positive (( := ) workers) "--workers"
+        "N worker processes of dist (default: up to 4, at least 2)";
+      positive (( := ) batch) "--batch" "M dist's pull batch size (default 2)";
+      valued int_of_string_opt
+        (fun n -> n >= 0)
+        "a non-negative integer" (( := ) max_restarts) "--max-restarts"
+        "N restarts of a dead dist worker";
+      valued float_of_string_opt
+        (fun b -> b >= 0.0)
+        "a non-negative number of seconds" (( := ) backoff) "--backoff"
+        "SEC pause before the first restart";
+      ("--no-retry-oom", Arg.Clear retry_oom, " do not restart workers that ran out of memory");
+      valued Option.some
+        (fun _ -> true)
+        "a comma-separated list"
+        (fun s -> designs := Some (String.split_on_char ',' s))
+        "--designs" "D1,D2 restrict s1, p1, r2 and dist to these designs";
+      path json "--json" "FILE write the report";
+      path trace "--trace" "FILE write the span trace";
+      path metrics "--metrics" "FILE write the metrics snapshot";
+      valued
+        (function "ndjson" -> Some `Ndjson | "chrome" -> Some `Chrome | _ -> None)
+        (fun _ -> true)
+        "ndjson or chrome" (( := ) trace_format) "--trace-format"
+        "FMT trace file format: ndjson (default) or chrome";
+      ("--force", Arg.Set force, " overwrite existing report, trace and journal files");
+      path checkpoint "--checkpoint" "FILE journal every check's verdict";
+      ("--resume", Arg.Set resume, " resume from the --checkpoint journal");
+      valued int_of_string_opt
+        (fun _ -> true)
+        "an integer" (( := ) seed) "--seed" "N seed of r2's and dist's kill points";
+    ]
+  in
+  Arg.parse specs (fun id -> ids := id :: !ids)
+    "usage: main.exe [FLAG...] [EXPERIMENT...]\nflags:";
+  let limits =
+    match (!timeout, !max_conflicts) with
+    | None, None -> Bmc.no_limits
+    | t, c -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:c ?seconds:t ()) ()
+  in
+  ( {
+      jobs = !jobs;
+      pipeline = !pipeline;
+      limits;
+      escalate = !escalate;
+      portfolio = !portfolio;
+      share = !share;
+      workers = !workers;
+      batch = !batch;
+      policy =
+        {
+          Par.Supervise.max_restarts = !max_restarts;
+          backoff_s = !backoff;
+          backoff_cap_s = Float.max !backoff d.Par.Supervise.backoff_cap_s;
+          retry_oom = !retry_oom;
+        };
+      designs = !designs;
+      seed = !seed;
+      checkpoint = !checkpoint;
+      resume = !resume;
+      force = !force;
+      json = !json;
+      trace = !trace;
+      metrics = !metrics;
+      trace_format = !trace_format;
+    },
+    List.rev !ids )
+
 let () =
   (* Dist workers are this binary re-exec'd: a worker invocation takes
      over here (recognized by its environment) before argv is parsed. *)
   Dist.worker_entry ();
-  let json_path = ref None in
-  let rec parse_args acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --jobs expects a positive integer";
-            exit 2
-      end
-    | [ "--jobs" ] ->
-        prerr_endline "bench: --jobs expects a positive integer";
-        exit 2
-    | "--no-simplify" :: rest ->
-        pipeline := Bmc.no_simplify;
-        parse_args acc rest
-    | "--timeout" :: s :: rest -> begin
-        match float_of_string_opt s with
-        | Some t when t > 0.0 ->
-            timeout := Some t;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --timeout expects a positive number of seconds";
-            exit 2
-      end
-    | [ "--timeout" ] ->
-        prerr_endline "bench: --timeout expects a positive number of seconds";
-        exit 2
-    | "--max-conflicts" :: s :: rest -> begin
-        match int_of_string_opt s with
-        | Some n when n >= 1 ->
-            max_conflicts := Some n;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --max-conflicts expects a positive integer";
-            exit 2
-      end
-    | [ "--max-conflicts" ] ->
-        prerr_endline "bench: --max-conflicts expects a positive integer";
-        exit 2
-    | "--no-escalate" :: rest ->
-        escalate := false;
-        parse_args acc rest
-    | "--portfolio" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some w when w >= 1 ->
-            portfolio_width := w;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --portfolio expects a positive integer";
-            exit 2
-      end
-    | [ "--portfolio" ] ->
-        prerr_endline "bench: --portfolio expects a positive integer";
-        exit 2
-    | "--no-share" :: rest ->
-        portfolio_share := false;
-        parse_args acc rest
-    | "--workers" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some w when w >= 1 ->
-            dist_workers := w;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --workers expects a positive integer";
-            exit 2
-      end
-    | [ "--workers" ] ->
-        prerr_endline "bench: --workers expects a positive integer";
-        exit 2
-    | "--batch" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some b when b >= 1 ->
-            dist_batch := b;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --batch expects a positive integer";
-            exit 2
-      end
-    | [ "--batch" ] ->
-        prerr_endline "bench: --batch expects a positive integer";
-        exit 2
-    | "--max-restarts" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some r when r >= 0 ->
-            dist_max_restarts := r;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --max-restarts expects a non-negative integer";
-            exit 2
-      end
-    | [ "--max-restarts" ] ->
-        prerr_endline "bench: --max-restarts expects a non-negative integer";
-        exit 2
-    | "--backoff" :: s :: rest -> begin
-        match float_of_string_opt s with
-        | Some b when b >= 0.0 ->
-            dist_backoff := b;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --backoff expects a non-negative number of seconds";
-            exit 2
-      end
-    | [ "--backoff" ] ->
-        prerr_endline "bench: --backoff expects a non-negative number of seconds";
-        exit 2
-    | "--no-retry-oom" :: rest ->
-        dist_retry_oom := false;
-        parse_args acc rest
-    | "--designs" :: names :: rest ->
-        design_filter := Some (String.split_on_char ',' names);
-        parse_args acc rest
-    | [ "--designs" ] ->
-        prerr_endline "bench: --designs expects a comma-separated list";
-        exit 2
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        parse_args acc rest
-    | [ "--json" ] ->
-        prerr_endline "bench: --json expects a file path";
-        exit 2
-    | "--trace" :: path :: rest ->
-        obs_trace_path := Some path;
-        parse_args acc rest
-    | [ "--trace" ] ->
-        prerr_endline "bench: --trace expects a file path";
-        exit 2
-    | "--metrics" :: path :: rest ->
-        obs_metrics_path := Some path;
-        parse_args acc rest
-    | [ "--metrics" ] ->
-        prerr_endline "bench: --metrics expects a file path";
-        exit 2
-    | "--trace-format" :: f :: rest -> begin
-        match f with
-        | "ndjson" ->
-            obs_format := `Ndjson;
-            parse_args acc rest
-        | "chrome" ->
-            obs_format := `Chrome;
-            parse_args acc rest
-        | _ ->
-            prerr_endline "bench: --trace-format expects ndjson or chrome";
-            exit 2
-      end
-    | [ "--trace-format" ] ->
-        prerr_endline "bench: --trace-format expects ndjson or chrome";
-        exit 2
-    | "--force" :: rest ->
-        force_overwrite := true;
-        parse_args acc rest
-    | "--checkpoint" :: path :: rest ->
-        checkpoint_path := Some path;
-        parse_args acc rest
-    | [ "--checkpoint" ] ->
-        prerr_endline "bench: --checkpoint expects a file path";
-        exit 2
-    | "--resume" :: rest ->
-        checkpoint_resume := true;
-        parse_args acc rest
-    | "--seed" :: s :: rest -> begin
-        match int_of_string_opt s with
-        | Some n ->
-            seed := n;
-            parse_args acc rest
-        | None ->
-            prerr_endline "bench: --seed expects an integer";
-            exit 2
-      end
-    | [ "--seed" ] ->
-        prerr_endline "bench: --seed expects an integer";
-        exit 2
-    | id :: rest -> parse_args (id :: acc) rest
-  in
-  let requested =
-    match parse_args [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> List.map fst experiments
-    | ids -> ids
-  in
+  let cfg, ids = parse_args () in
+  let requested = match ids with [] -> List.map fst experiments | ids -> ids in
   (* Output-file guards run only after the whole command line is parsed, so
      --force works in any position. Refusing to clobber an existing report
      beats discovering the loss after an hour-long run. *)
@@ -2393,7 +2127,7 @@ let () =
       match path with
       | None -> ()
       | Some path -> (
-          match Obs.Export.guard ~force:!force_overwrite path with
+          match Obs.Export.guard ~force:cfg.force path with
           | Error msg ->
               prerr_endline ("bench: " ^ msg);
               exit 2
@@ -2403,26 +2137,24 @@ let () =
               with Sys_error e ->
                 Printf.eprintf "bench: cannot write %s file: %s\n" flag e;
                 exit 2)))
-    [
-      ("--json", !json_path);
-      ("--trace", !obs_trace_path);
-      ("--metrics", !obs_metrics_path);
-    ];
-  if !obs_trace_path <> None || !obs_metrics_path <> None then Obs.enable ();
+    [ ("--json", cfg.json); ("--trace", cfg.trace); ("--metrics", cfg.metrics) ];
+  if cfg.trace <> None || cfg.metrics <> None then Obs.enable ();
   (* The journal has its own guard (inside Campaign.start): an existing
      file needs --resume to continue or --force to start over, and
      --resume without a journal is an error, not a silent cold start. *)
-  (match (!checkpoint_path, !checkpoint_resume) with
-  | None, true ->
-      prerr_endline "bench: --resume requires --checkpoint FILE";
-      exit 2
-  | None, false -> ()
-  | Some path, resume -> (
-      match Persist.Campaign.start ~resume ~force:!force_overwrite path with
-      | Ok c -> campaign := Some c
-      | Error msg ->
-          prerr_endline ("bench: " ^ msg);
-          exit 2));
+  let campaign =
+    match (cfg.checkpoint, cfg.resume) with
+    | None, true ->
+        prerr_endline "bench: --resume requires --checkpoint FILE";
+        exit 2
+    | None, false -> None
+    | Some path, resume -> (
+        match Persist.Campaign.start ~resume ~force:cfg.force path with
+        | Ok c -> Some c
+        | Error msg ->
+            prerr_endline ("bench: " ^ msg);
+            exit 2)
+  in
   List.iter
     (fun id ->
       if not (List.mem_assoc id experiments) then begin
@@ -2431,37 +2163,32 @@ let () =
         exit 2
       end)
     requested;
+  let tally =
+    { unknown = Atomic.make 0; escalations = Atomic.make 0; skips = Atomic.make 0 }
+  in
+  let rec env = { cfg; tally; campaign; t2 = lazy (t2_compute env) } in
   Printf.printf "G-QED reproduction harness — %d experiment(s), %d job(s)\n"
-    (List.length requested) !jobs;
-  List.iter
-    (fun id ->
-      let f = List.assoc id experiments in
-      par_task_seconds := 0.0;
-      let (), dt = time f in
-      json_experiments :=
-        !json_experiments
-        @ [
-            {
-              je_id = id;
-              je_wall_s = dt;
-              je_task_sum_s = !par_task_seconds;
-              je_starved = Report.is_starved id;
-            };
-          ];
-      Printf.printf "[%s completed in %.1fs]\n%!" id dt)
-    requested;
-  (match !obs_trace_path with
+    (List.length requested) cfg.jobs;
+  let runs =
+    List.map
+      (fun id ->
+        let outcome, dt = time (fun () -> List.assoc id experiments env) in
+        Printf.printf "[%s completed in %.1fs]\n%!" id dt;
+        (id, dt, outcome))
+      requested
+  in
+  (match cfg.trace with
   | None -> ()
   | Some path ->
       let evs = Obs.Trace.events () in
-      Obs.Trace.write ~format:!obs_format path evs;
+      Obs.Trace.write ~format:cfg.trace_format path evs;
       Printf.printf "trace written to %s (%d events)\n" path (List.length evs));
-  (match !obs_metrics_path with
+  (match cfg.metrics with
   | None -> ()
   | Some path ->
       Obs.Metrics.write path (Obs.Metrics.snapshot ());
       Printf.printf "metrics written to %s\n" path);
-  (match !campaign with
+  (match campaign with
   | None -> ()
   | Some c ->
       let s = Persist.Campaign.stats c in
@@ -2469,7 +2196,7 @@ let () =
         "campaign journal %s: %d record(s) loaded (%d undecided), %d check(s) skipped, \
          %d appended%s%s\n"
         (Persist.Campaign.path c) s.Persist.Campaign.c_loaded
-        s.Persist.Campaign.c_undecided_loaded (Atomic.get campaign_skips)
+        s.Persist.Campaign.c_undecided_loaded (Atomic.get tally.skips)
         s.Persist.Campaign.c_appended
         (if s.Persist.Campaign.c_recovered_bytes > 0 then
            Printf.sprintf " (%d corrupt tail byte(s) dropped)"
@@ -2480,46 +2207,21 @@ let () =
              s.Persist.Campaign.c_write_errors
          else "");
       Persist.Campaign.close c);
-  (match !json_path with None -> () | Some path -> write_json path);
-  if !verdict_mismatches > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d verdict mismatch(es) between pipeline configurations\n"
-      !verdict_mismatches;
-    exit 1
-  end;
-  if !rob_flips > 0 then begin
-    Printf.eprintf "bench: FAILED — %d fault-induced verdict flip(s)\n" !rob_flips;
-    exit 1
-  end;
-  if !portfolio_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d portfolio-vs-single verdict flip(s)\n" !portfolio_flips;
-    exit 1
-  end;
-  if !obs_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d traced-vs-untraced verdict flip(s)\n" !obs_flips;
-    exit 1
-  end;
-  if !obs_malformed > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d malformed or empty trace(s) in the obs experiment\n"
-      !obs_malformed;
-    exit 1
-  end;
-  if !campaign_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d kill/resume campaign verdict flip(s)\n" !campaign_flips;
-    exit 1
-  end;
-  if !dist_flips > 0 then begin
-    Printf.eprintf
-      "bench: FAILED — %d distributed-vs-serial verdict flip(s)\n" !dist_flips;
-    exit 1
-  end;
+  (match cfg.json with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (R.render (report env runs));
+      close_out oc;
+      Printf.printf "bench report written to %s\n" path);
+  let failed =
+    List.concat_map (fun (_, _, o) -> List.filter (fun g -> g.count > 0) o.gates) runs
+  in
+  List.iter (fun g -> Printf.eprintf "bench: FAILED — %d %s\n" g.count g.what) failed;
+  if failed <> [] then exit 1;
   (* Distinct exit code for "nothing wrong, but some verdicts stayed unknown
      under the --timeout/--max-conflicts budget". *)
-  let unknowns = Atomic.get unknown_verdicts in
+  let unknowns = Atomic.get tally.unknown in
   if unknowns > 0 then begin
     Printf.eprintf
       "bench: %d verdict(s) unknown under the configured budget (raise --timeout or \

@@ -120,9 +120,9 @@ let jobs_arg =
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run independent checks on $(docv) domains. With $(b,--technique flow) \
-           the four flow stages run concurrently; with $(b,--all-mutants) the \
-           per-mutant checks fan out. Verdicts are identical to the serial run.")
+          "With $(b,--all-mutants), fan the per-mutant checks out over $(docv) \
+           domains. Verdicts are identical to the serial run. A single check \
+           runs on one domain whatever $(docv) is.")
 
 let all_mutants_flag =
   Arg.(
@@ -476,15 +476,17 @@ let verify_cmd =
       exit 2
     end;
     (* Never oversubscribe: the product of the outer fan-out and the
-       per-query portfolio is capped at the machine's domain count. *)
+       per-query portfolio is capped at the machine's domain count. Only
+       --all-mutants fans out; a single check is one outer task. *)
     let portfolio =
-      let clamped, did = Par.clamp_inner ~jobs ~inner:portfolio in
+      let outer = if all_mutants then jobs else 1 in
+      let clamped, did = Par.clamp_inner ~jobs:outer ~inner:portfolio in
       if did then
         Printf.eprintf
           "gqed: warning: --jobs %d x --portfolio %d exceeds %d cores; portfolio \
            clamped to %d\n\
            %!"
-          jobs portfolio (Par.default_jobs ()) clamped;
+          outer portfolio (Par.default_jobs ()) clamped;
       clamped
     in
     let e = or_die (find_design name) in
@@ -601,60 +603,7 @@ let verify_cmd =
     | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
     | None -> ());
     let t0 = Unix.gettimeofday () in
-    let report =
-      match technique with
-      | `Flow when jobs > 1 ->
-          (* Run the flow stages concurrently instead of sequentially.  The
-             reported verdict is the first failing stage in flow order (or the
-             final G-FC report when all pass), identical to Checks.flow. *)
-          let stage run1 () =
-            with_escalation ~escalate ~racing ~jobs:portfolio
-              ~limits:(limits_of ?portfolio:pconfig ~timeout ~max_conflicts ())
-              ~simplify ~mono run1
-          in
-          let stages =
-            [
-              ( "reset",
-                stage (fun ~simplify ~mono ~limits ->
-                    Checks.reset_check ~simplify ~mono ~limits design e.Entry.iface) );
-              ( "single-action",
-                stage (fun ~simplify ~mono ~limits ->
-                    Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface ~bound) );
-            ]
-            @ (if Qed.Iface.is_variable_latency e.Entry.iface then []
-               else
-                 [
-                   ( "stability",
-                     stage (fun ~simplify ~mono ~limits ->
-                         Checks.stability_check ~simplify ~mono ~limits design
-                           e.Entry.iface ~bound) );
-                 ])
-            @ [
-                ( "g-fc",
-                  stage (fun ~simplify ~mono ~limits ->
-                      Checks.gqed ~simplify ~mono ~limits design e.Entry.iface ~bound) );
-              ]
-          in
-          let reports = Par.run ~jobs (List.map snd stages) in
-          List.iter2
-            (fun (stage, _) r ->
-              Printf.printf "  stage %-13s %s\n" stage
-                (match r.Checks.verdict with
-                | Checks.Pass _ -> "pass"
-                | Checks.Fail _ -> "FAIL"
-                | Checks.Unknown _ -> "unknown"))
-            stages reports;
-          let rec first_fail = function
-            | [ r ] -> r
-            | r :: rest -> (
-                match r.Checks.verdict with
-                | Checks.Fail _ | Checks.Unknown _ -> r
-                | Checks.Pass _ -> first_fail rest)
-            | [] -> assert false
-          in
-          first_fail reports
-      | t -> check t design
-    in
+    let report = check technique design in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in

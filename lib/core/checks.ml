@@ -615,27 +615,21 @@ let sa_check ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.n
 
 let flow ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_limits)
     design iface ~bound =
-  let stages =
-    [
-      (fun () -> reset_check ~simplify ~mono ~limits design iface);
-      (fun () -> sa_check ~simplify ~mono ~limits design iface ~bound);
-    ]
+  let later =
+    [ (fun () -> sa_check ~simplify ~mono ~limits design iface ~bound) ]
     @ (if Iface.is_variable_latency iface then []
        else [ (fun () -> stability_check ~simplify ~mono ~limits design iface ~bound) ])
     @ [ (fun () -> gqed ~simplify ~mono ~limits design iface ~bound) ]
   in
-  let rec run_stages last = function
-    | [] -> last
-    | stage :: rest -> begin
-        let report = stage () in
-        match report.verdict with
-        (* An undecided stage blocks the flow just like a failing one: the
-           later stages' soundness preconditions were not discharged. *)
-        | Fail _ | Unknown _ -> report
-        | Pass _ -> run_stages report rest
-      end
-  in
-  run_stages (reset_check ~simplify design iface) stages
+  List.fold_left
+    (fun report stage ->
+      match report.verdict with
+      (* An undecided stage blocks the flow just like a failing one: the
+         later stages' soundness preconditions were not discharged. *)
+      | Fail _ | Unknown _ -> report
+      | Pass _ -> stage ())
+    (reset_check ~simplify ~mono ~limits design iface)
+    later
 
 (* ------------------------------------------------------------------ *)
 

@@ -150,12 +150,6 @@ let map_timed ?jobs f xs =
   List.init (Array.length results)
     (fun i -> ((match results.(i) with Ok v -> v | Error _ -> assert false), times.(i)))
 
-let run ?jobs thunks =
-  let tasks = Array.of_list thunks in
-  let results, _ = run_tasks ~jobs tasks in
-  reraise_first results;
-  Array.to_list (Array.map (function Ok v -> v | Error _ -> assert false) results)
-
 let map_governed ?jobs ?deadline ?stop_when f xs =
   let tasks = Array.of_list (List.map (fun x token -> f token x) xs) in
   let results, times = run_tasks_governed ~jobs ?deadline ?stop_when tasks in

@@ -35,9 +35,6 @@ val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 (** Like {!map} but exceptions are captured per task: a failing task never
     loses the other tasks' results. *)
 
-val run : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** [map] for heterogeneous thunks. *)
-
 val map_governed :
   ?jobs:int ->
   ?deadline:float ->

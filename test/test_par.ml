@@ -52,10 +52,6 @@ let test_map_raises_first_error_in_order () =
          matter which domain hit its failure first. *)
       Alcotest.(check string) "first failure by input order" "5" msg
 
-let test_run_thunks () =
-  let r = Par.run ~jobs:3 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ] in
-  Alcotest.(check (list int)) "thunks in order" [ 1; 2; 3 ] r
-
 let test_map_timed () =
   let xs = [ 1; 2; 3; 4 ] in
   let timed = Par.map_timed ~jobs:2 (fun i -> i * 2) xs in
@@ -149,7 +145,6 @@ let suite =
     ("par.empty_singleton", `Quick, test_empty_and_singleton);
     ("par.exception_isolation", `Quick, test_exception_does_not_lose_results);
     ("par.first_error_in_order", `Quick, test_map_raises_first_error_in_order);
-    ("par.run_thunks", `Quick, test_run_thunks);
     ("par.map_timed", `Quick, test_map_timed);
     ("par.more_jobs_than_tasks", `Quick, test_more_jobs_than_tasks);
     ("par.invalid_jobs", `Quick, test_invalid_jobs);
