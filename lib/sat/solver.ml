@@ -1,27 +1,62 @@
 (* CDCL solver. The architecture follows MiniSat 2.2 closely; comments
-   below mark the places where invariants are subtle (watch maintenance,
-   first-UIP analysis, reason locking). *)
+   below mark the places where invariants are subtle (the clause arena,
+   watch maintenance, first-UIP analysis, reason locking).
 
-type clause = {
-  mutable lits : int array;
-  (* lits.(0) and lits.(1) are the watched literals of a clause with >= 2
-     literals. For a reason clause, lits.(0) is the implied literal. *)
-  learnt : bool;
-  mutable act : float;
-  mutable lbd : int; (* glue (distinct decision levels) at learn time; 0 for problem clauses *)
-  mutable removed : bool;
-}
+   The hot path touches unboxed data only: clauses live in one flat int
+   arena, watch lists are flat int arrays of (cref, blocker) pairs, and
+   assignments and reasons are int arrays. Propagation therefore neither
+   allocates nor goes through the write barrier. *)
 
-let dummy_clause = { lits = [||]; learnt = false; act = 0.; lbd = 0; removed = true }
+(* Growable int stack with unboxed storage: trail, decision-level marks,
+   analysis scratch and watch lists. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable len : int }
 
-(* Watch-list entry. [blocker] is some literal of the clause other than the
-   watched one; if it is already true the clause is satisfied and the visit
-   never touches the clause itself (better locality on the hot path). For
-   binary clauses the blocker is the only other literal, so binary watchers
-   carry the full semantics of the clause and propagation needs no search. *)
-type watcher = { w_clause : clause; w_blocker : int }
+  let create () = { data = [||]; len = 0 }
 
-let dummy_watcher = { w_clause = dummy_clause; w_blocker = 0 }
+  let grow v need =
+    let d = Array.make (max need (max 8 (2 * Array.length v.data))) 0 in
+    Array.blit v.data 0 d 0 v.len;
+    v.data <- d
+
+  let push v x =
+    if v.len = Array.length v.data then grow v (v.len + 1);
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  (* One watch entry: a (cref, blocker) pair in two consecutive slots. *)
+  let push2 v x y =
+    if v.len + 2 > Array.length v.data then grow v (v.len + 2);
+    v.data.(v.len) <- x;
+    v.data.(v.len + 1) <- y;
+    v.len <- v.len + 2
+
+  let get v i =
+    if i >= v.len then invalid_arg "Ivec.get";
+    v.data.(i)
+end
+
+(* The clause arena. Every clause occupies [hdr_words + size] consecutive
+   words of one growable [int array] and is addressed by the index of its
+   first word, its cref:
+
+     arena.(c)        header: size lsl 2, lor 2 if learnt, lor 1 if removed
+     arena.(c + 1)    LBD (glue) of a learnt clause; 0 for a problem clause
+     arena.(c + 2)    slot of a learnt clause's activity in [cla_act]; -1
+                      for a problem clause
+     arena.(c + 3)..  the literals
+
+   Literals 0 and 1 of a clause are its watched literals; for a reason
+   clause literal 0 is the implied literal. Removing a clause only sets its
+   removed bit; [compact_arena] reclaims the space later and relocates every
+   cref held elsewhere. *)
+let hdr_words = 3
+let no_cref = -1 (* "no clause": a decision, a level-0 fact, or no conflict *)
+
+(* The words a clause of [len] literals occupies in the arena. The
+   learnt-memory budget counts these, at 8 bytes per word. *)
+let clause_words len = hdr_words + len
+let clause_bytes len = 8 * clause_words len
 
 type budget = {
   max_conflicts : int option;
@@ -138,24 +173,35 @@ type answer = A_none | A_sat | A_unsat | A_unknown
 
 type t = {
   mutable nvars : int;
+  (* Per-literal assignment, capacity >= 2 * nvars: 1 = true, -1 = false,
+     0 = unassigned. Both literals of a variable are written together, so
+     reading a literal's value is one load. *)
+  mutable vals : int array;
   (* Per-variable state, arrays of capacity >= nvars. *)
-  mutable assigns : int array; (* 0 = unassigned, 1 = true, -1 = false *)
   mutable level : int array;
-  mutable reason : clause array; (* dummy_clause = none *)
+  mutable reason : int array; (* cref of the implying clause; no_cref = none *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase: true = assign negative *)
   mutable seen : bool array;
-  (* Per-literal watch lists, capacity >= 2 * nvars. [watches] holds clauses
-     of length >= 3; binary clauses live in [bin_watches], where each entry's
-     blocker is the implied literal. *)
-  mutable watches : watcher Vec.t array;
-  mutable bin_watches : watcher Vec.t array;
-  (* Clause databases. *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  (* Per-literal watch lists of (cref, blocker) pairs, capacity >= 2 * nvars.
+     [watches] holds clauses of length >= 3; binary clauses live in
+     [bin_watches], where each entry's blocker is the implied literal. *)
+  mutable watches : Ivec.t array;
+  mutable bin_watches : Ivec.t array;
+  (* The clause arena (see above). [arena_top] is the first free word,
+     [arena_wasted] the words of removed clauses not yet reclaimed. *)
+  mutable arena : int array;
+  mutable arena_top : int;
+  mutable arena_wasted : int;
+  (* Learnt-clause activities, indexed by the slot in a learnt's header. *)
+  mutable cla_act : float array;
+  mutable n_slots : int;
+  (* Clause databases, as crefs. *)
+  clauses : int Vec.t;
+  learnts : int Vec.t;
   (* Assignment trail. *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  trail : Ivec.t;
+  trail_lim : Ivec.t;
   mutable qhead : int;
   (* VSIDS. *)
   mutable var_inc : float;
@@ -165,7 +211,11 @@ type t = {
   (* Assumptions for the current solve. *)
   mutable assumptions : int array;
   conflict : int Vec.t; (* failed assumptions, negated *)
-  analyze_toclear : int Vec.t;
+  (* Conflict-analysis scratch, reused across conflicts: the variables
+     whose [seen] flag must be cleared, and the learnt clause under
+     construction (asserting literal first). *)
+  analyze_toclear : Ivec.t;
+  learnt_buf : Ivec.t;
   (* LBD computation scratch: level -> stamp of the last clause that
      contained a literal at that level. *)
   mutable lbd_seen : int array;
@@ -200,8 +250,8 @@ type t = {
   mutable n_restarts : int;
   (* Resource governance: absolute limits for the active [solve] call
      (max_int / infinity when uncapped), set at entry from the budget plus
-     the counters so far. [learnt_bytes] is an incremental estimate of the
-     learnt database footprint, maintained on learn/remove. *)
+     the counters so far. [learnt_bytes] is the arena footprint of the live
+     learnt clauses ([clause_bytes]), maintained on learn/remove. *)
   mutable lim_conflicts : int;
   mutable lim_propagations : int;
   mutable lim_decisions : int;
@@ -231,18 +281,23 @@ let default_restart_base = 100
 let create () =
   {
     nvars = 0;
-    assigns = Array.make 16 0;
+    vals = Array.make 32 0;
     level = Array.make 16 (-1);
-    reason = Array.make 16 dummy_clause;
+    reason = Array.make 16 no_cref;
     activity = Array.make 16 0.;
     polarity = Array.make 16 true;
     seen = Array.make 16 false;
-    watches = Array.init 32 (fun _ -> Vec.create dummy_watcher);
-    bin_watches = Array.init 32 (fun _ -> Vec.create dummy_watcher);
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    watches = Array.init 32 (fun _ -> Ivec.create ());
+    bin_watches = Array.init 32 (fun _ -> Ivec.create ());
+    arena = Array.make 1024 0;
+    arena_top = 0;
+    arena_wasted = 0;
+    cla_act = Array.make 16 0.;
+    n_slots = 0;
+    clauses = Vec.create no_cref;
+    learnts = Vec.create no_cref;
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     var_inc = 1.;
     cla_inc = 1.;
@@ -250,7 +305,8 @@ let create () =
     heap_index = Array.make 16 (-1);
     assumptions = [||];
     conflict = Vec.create 0;
-    analyze_toclear = Vec.create 0;
+    analyze_toclear = Ivec.create ();
+    learnt_buf = Ivec.create ();
     lbd_seen = Array.make 16 0;
     lbd_stamp = 0;
     proof_logging = false;
@@ -290,10 +346,53 @@ let nvars s = s.nvars
 let ok s = s.ok
 
 (* ------------------------------------------------------------------ *)
+(* Clause access.                                                      *)
+
+let clause_size s c = s.arena.(c) lsr 2
+let clause_removed s c = s.arena.(c) land 1 <> 0
+let clause_lbd s c = s.arena.(c + 1)
+let clause_act s c = s.cla_act.(s.arena.(c + 2))
+
+(* Literal [k] of clause [c]. *)
+let clause_lit s c k = s.arena.(c + hdr_words + k)
+
+(* A fresh copy of the clause's literals, for callers that keep them. *)
+let clause_lits s c = Array.sub s.arena (c + hdr_words) (clause_size s c)
+
+(* Append a clause holding [lits.(0 .. len-1)] to the arena; returns its
+   cref. A learnt clause also gets a fresh activity slot (activity 0). *)
+let alloc_clause s lits len ~learnt ~lbd =
+  let words = clause_words len in
+  let c = s.arena_top in
+  if c + words > Array.length s.arena then begin
+    let a = Array.make (max (c + words) (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 c;
+    s.arena <- a
+  end;
+  let a = s.arena in
+  a.(c) <- (len lsl 2) lor if learnt then 2 else 0;
+  a.(c + 1) <- lbd;
+  if learnt then begin
+    let slot = s.n_slots in
+    if slot = Array.length s.cla_act then begin
+      let acts = Array.make (2 * slot) 0. in
+      Array.blit s.cla_act 0 acts 0 slot;
+      s.cla_act <- acts
+    end;
+    s.cla_act.(slot) <- 0.;
+    s.n_slots <- slot + 1;
+    a.(c + 2) <- slot
+  end
+  else a.(c + 2) <- -1;
+  Array.blit lits 0 a (c + hdr_words) len;
+  s.arena_top <- c + words;
+  c
+
+(* ------------------------------------------------------------------ *)
 (* DRAT proof logging.                                                 *)
 
 let start_proof s =
-  if Vec.size s.clauses > 0 || Vec.size s.learnts > 0 || Vec.size s.trail > 0 || not s.ok
+  if Vec.size s.clauses > 0 || Vec.size s.learnts > 0 || s.trail.len > 0 || not s.ok
   then invalid_arg "Solver.start_proof: must be enabled before any clause is added";
   s.proof_logging <- true;
   s.proof_rev <- []
@@ -311,8 +410,8 @@ let set_proof_clock s clock = s.proof_clock <- clock
 let stamp s =
   match s.proof_clock with None -> 0 | Some c -> Atomic.fetch_and_add c 1
 
-(* The solver permutes clause arrays in place (watch maintenance), so every
-   logged clause is copied at logging time. *)
+(* The solver permutes clause literals in place (watch maintenance), so
+   every logged clause is copied at logging time. *)
 let log_input s lits =
   if s.proof_logging then
     s.proof_rev <- (stamp s, Drat.Input (Array.of_list lits)) :: s.proof_rev
@@ -328,9 +427,9 @@ let log_add_arr s lits =
 let log_empty s =
   if s.proof_logging then s.proof_rev <- (stamp s, Drat.Add [||]) :: s.proof_rev
 
-let log_delete s lits =
+let log_delete s c =
   if s.proof_logging then
-    s.proof_rev <- (stamp s, Drat.Delete (Array.copy lits)) :: s.proof_rev
+    s.proof_rev <- (stamp s, Drat.Delete (clause_lits s c)) :: s.proof_rev
 
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
@@ -402,9 +501,9 @@ let grow_array a n dflt =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.assigns <- grow_array s.assigns s.nvars 0;
+  s.vals <- grow_array s.vals (2 * s.nvars) 0;
   s.level <- grow_array s.level s.nvars (-1);
-  s.reason <- grow_array s.reason s.nvars dummy_clause;
+  s.reason <- grow_array s.reason s.nvars no_cref;
   s.activity <- grow_array s.activity s.nvars 0.;
   s.polarity <- grow_array s.polarity s.nvars true;
   s.seen <- grow_array s.seen s.nvars false;
@@ -415,8 +514,7 @@ let new_var s =
   if 2 * s.nvars > Array.length s.watches then begin
     let grow_watchlists old =
       let a =
-        Array.init (max (2 * s.nvars) (2 * Array.length old)) (fun _ ->
-            Vec.create dummy_watcher)
+        Array.init (max (2 * s.nvars) (2 * Array.length old)) (fun _ -> Ivec.create ())
       in
       Array.blit old 0 a 0 (Array.length old);
       a
@@ -424,20 +522,21 @@ let new_var s =
     s.watches <- grow_watchlists s.watches;
     s.bin_watches <- grow_watchlists s.bin_watches
   end;
-  s.assigns.(v) <- 0;
+  s.vals.(Lit.pos v) <- 0;
+  s.vals.(Lit.neg v) <- 0;
   s.level.(v) <- -1;
-  s.reason.(v) <- dummy_clause;
+  s.reason.(v) <- no_cref;
   s.activity.(v) <- 0.;
   s.polarity.(v) <- true;
   heap_insert s v;
   v
 
 (* Literal value: 0 unassigned, 1 true, -1 false. *)
-let value_lit s l =
-  let a = s.assigns.(Lit.var l) in
-  if Lit.is_neg l then -a else a
+let value_lit s l = s.vals.(l)
 
-let decision_level s = Vec.size s.trail_lim
+let var_assigned s v = s.vals.(Lit.pos v) <> 0
+
+let decision_level s = s.trail_lim.len
 
 (* ------------------------------------------------------------------ *)
 (* Activity.                                                           *)
@@ -456,9 +555,15 @@ let bump_var s v =
 let decay_var_activity s = s.var_inc <- s.var_inc *. s.var_decay
 
 let bump_clause s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
-    Vec.iter (fun c -> c.act <- c.act *. 1e-20) s.learnts;
+  let slot = s.arena.(c + 2) in
+  let act = s.cla_act.(slot) +. s.cla_inc in
+  s.cla_act.(slot) <- act;
+  if act > 1e20 then begin
+    Vec.iter
+      (fun c ->
+        let k = s.arena.(c + 2) in
+        s.cla_act.(k) <- s.cla_act.(k) *. 1e-20)
+      s.learnts;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -469,26 +574,28 @@ let decay_clause_activity s = s.cla_inc <- s.cla_inc *. clause_decay
 
 let unchecked_enqueue s l reason =
   let v = Lit.var l in
-  s.assigns.(v) <- (if Lit.is_neg l then -1 else 1);
+  s.vals.(l) <- 1;
+  s.vals.(Lit.negate l) <- -1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
-  Vec.push s.trail l
+  Ivec.push s.trail l
 
-let new_decision_level s = Vec.push s.trail_lim (Vec.size s.trail)
+let new_decision_level s = Ivec.push s.trail_lim s.trail.len
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
+    let bound = Ivec.get s.trail_lim lvl in
+    for i = s.trail.len - 1 downto bound do
+      let l = s.trail.data.(i) in
       let v = Lit.var l in
-      s.assigns.(v) <- 0;
+      s.vals.(l) <- 0;
+      s.vals.(Lit.negate l) <- 0;
       s.polarity.(v) <- Lit.is_neg l;
-      s.reason.(v) <- dummy_clause;
+      s.reason.(v) <- no_cref;
       heap_insert s v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
+    s.trail.len <- bound;
+    s.trail_lim.len <- lvl;
     s.qhead <- bound
   end
 
@@ -496,168 +603,253 @@ let cancel_until s lvl =
 (* Clause attachment.                                                  *)
 
 (* watches.(l) holds the clauses that must be inspected when [l] becomes
-   true, i.e. the clauses watching the literal [negate l]. Binary clauses go
-   to the dedicated implication lists instead. *)
+   true, i.e. the clauses watching the literal [negate l]; each entry pairs
+   the clause's cref with its other watched literal as the blocker. Binary
+   clauses go to the dedicated implication lists instead. *)
 let attach_clause s c =
-  if Array.length c.lits = 2 then begin
-    Vec.push s.bin_watches.(Lit.negate c.lits.(0)) { w_clause = c; w_blocker = c.lits.(1) };
-    Vec.push s.bin_watches.(Lit.negate c.lits.(1)) { w_clause = c; w_blocker = c.lits.(0) }
-  end
-  else begin
-    Vec.push s.watches.(Lit.negate c.lits.(0)) { w_clause = c; w_blocker = c.lits.(1) };
-    Vec.push s.watches.(Lit.negate c.lits.(1)) { w_clause = c; w_blocker = c.lits.(0) }
-  end
+  let l0 = clause_lit s c 0 and l1 = clause_lit s c 1 in
+  let lists = if clause_size s c = 2 then s.bin_watches else s.watches in
+  Ivec.push2 lists.(Lit.negate l0) c l1;
+  Ivec.push2 lists.(Lit.negate l1) c l0
 
-(* Detaching is lazy: [removed] clauses are dropped when the watch lists are
-   next traversed, which avoids O(watchlist) scans here. *)
+(* Detaching is lazy: a removed clause keeps its arena words and its watch
+   entries, and propagation drops the entries it meets. [compact_arena]
+   drops the rest when it reclaims the words, which avoids O(watchlist)
+   scans here. *)
 let remove_clause s c =
-  c.removed <- true;
-  if c.learnt then
-    s.learnt_bytes <- s.learnt_bytes - (40 + (8 * Array.length c.lits));
+  let h = s.arena.(c) in
+  s.arena.(c) <- h lor 1;
+  let len = h lsr 2 in
+  s.arena_wasted <- s.arena_wasted + clause_words len;
+  if h land 2 <> 0 then s.learnt_bytes <- s.learnt_bytes - clause_bytes len;
   (* A removed clause must never remain a reason. Callers guarantee this via
      the [locked] check. *)
-  log_delete s c.lits
+  log_delete s c
 
+(* A clause is locked while it is the reason of its (assigned) literal 0. *)
 let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  s.reason.(v) == c && s.assigns.(v) <> 0
+  let l0 = clause_lit s c 0 in
+  s.reason.(Lit.var l0) = c && value_lit s l0 <> 0
+
+(* Reclaim the words of removed clauses: copy every live clause, in the
+   order of [clauses] then [learnts], into a fresh arena, then rewrite the
+   crefs held in the databases, the watch lists and [reason]. The order of
+   every list is kept, and watch entries of removed clauses are dropped
+   (exactly what lazy detach would do), so the search is unchanged. Learnt
+   activity slots are renumbered in [learnts] order. Callable at any
+   decision level, outside propagation and analysis, once every removed
+   clause is out of [clauses] and [learnts]. *)
+let compact_arena s =
+  let old = s.arena in
+  let live = s.arena_top - s.arena_wasted in
+  let fresh = Array.make (max 1024 live) 0 in
+  let acts = Array.make (max 16 (Vec.size s.learnts)) 0. in
+  let top = ref 0 and slots = ref 0 in
+  (* Move clause [c]; its old header becomes the forwarding address
+     [-1 - new cref]. *)
+  let move c =
+    let h = old.(c) in
+    let c' = !top in
+    let words = clause_words (h lsr 2) in
+    Array.blit old c fresh c' words;
+    if h land 2 <> 0 then begin
+      acts.(!slots) <- s.cla_act.(old.(c + 2));
+      fresh.(c' + 2) <- !slots;
+      incr slots
+    end;
+    old.(c) <- -1 - c';
+    top := c' + words;
+    c'
+  in
+  let relocate_db db =
+    for i = 0 to Vec.size db - 1 do
+      Vec.set db i (move (Vec.get db i))
+    done
+  in
+  relocate_db s.clauses;
+  relocate_db s.learnts;
+  let relocate_watches (ws : Ivec.t) =
+    let d = ws.data in
+    let j = ref 0 in
+    let i = ref 0 in
+    while !i < ws.len do
+      let h = old.(d.(!i)) in
+      if h < 0 then begin
+        d.(!j) <- -1 - h;
+        d.(!j + 1) <- d.(!i + 1);
+        j := !j + 2
+      end
+      else assert (h land 1 = 1);
+      i := !i + 2
+    done;
+    ws.len <- !j
+  in
+  for l = 0 to (2 * s.nvars) - 1 do
+    relocate_watches s.watches.(l);
+    relocate_watches s.bin_watches.(l)
+  done;
+  for v = 0 to s.nvars - 1 do
+    let r = s.reason.(v) in
+    if r <> no_cref then begin
+      let h = old.(r) in
+      s.reason.(v) <- (if h < 0 then -1 - h else no_cref)
+    end
+  done;
+  s.arena <- fresh;
+  s.arena_top <- !top;
+  s.arena_wasted <- 0;
+  s.cla_act <- acts;
+  s.n_slots <- !slots;
+  if Obs.on () then
+    Obs.Trace.instant "sat.compact" ~args:[ ("live_words", string_of_int !top) ]
+
+(* Compact once a fifth of the arena is garbage (MiniSat's threshold). *)
+let maybe_compact s = if s.arena_wasted * 5 > s.arena_top then compact_arena s
 
 (* ------------------------------------------------------------------ *)
 (* Propagation.                                                        *)
 
-exception Conflict of clause
-
-(* Binary implications for the newly-true literal [p]: each watcher's blocker
+(* Binary implications for the newly-true literal [p]: each entry's blocker
    is the only other literal of its clause, so the visit is assign-or-detect
    with no clause scan. Reason clauses keep the MiniSat invariant that
-   lits.(0) is the implied literal, so the two binary literals are swapped
-   into place on implication. *)
+   literal 0 is the implied literal, so the two binary literals are swapped
+   into place on implication. Returns the conflicting cref, or no_cref. *)
 let propagate_bin s p =
   let ws = s.bin_watches.(p) in
+  let data = ws.data and n = ws.len in
+  let arena = s.arena in
   let i = ref 0 and j = ref 0 in
-  let n = Vec.size ws in
+  let confl = ref no_cref in
   while !i < n do
-    let w = Vec.unsafe_get ws !i in
-    incr i;
-    let c = w.w_clause in
-    if not c.removed then begin
-      Vec.unsafe_set ws !j w;
-      incr j;
-      let other = w.w_blocker in
-      match value_lit s other with
-      | 1 -> ()
-      | 0 ->
-          if c.lits.(0) <> other then begin
-            c.lits.(0) <- other;
-            c.lits.(1) <- Lit.negate p
-          end;
-          unchecked_enqueue s other c
-      | _ ->
-          (* Both literals false: conflict. Copy the tail back first. *)
-          while !i < n do
-            Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-            incr i;
-            incr j
-          done;
-          Vec.shrink ws !j;
-          s.qhead <- Vec.size s.trail;
-          raise (Conflict c)
+    let c = data.(!i) and other = data.(!i + 1) in
+    i := !i + 2;
+    if arena.(c) land 1 = 0 then begin
+      data.(!j) <- c;
+      data.(!j + 1) <- other;
+      j := !j + 2;
+      let v = value_lit s other in
+      if v = 0 then begin
+        if arena.(c + hdr_words) <> other then begin
+          arena.(c + hdr_words) <- other;
+          arena.(c + hdr_words + 1) <- Lit.negate p
+        end;
+        unchecked_enqueue s other c
+      end
+      else if v < 0 then begin
+        (* Both literals false: conflict. Copy the tail back first. *)
+        Array.blit data !i data !j (n - !i);
+        j := !j + (n - !i);
+        i := n;
+        s.qhead <- s.trail.len;
+        confl := c
+      end
     end
   done;
-  Vec.shrink ws !j
+  ws.len <- !j;
+  !confl
 
-let propagate s =
-  try
-    while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.n_propagations <- s.n_propagations + 1;
-      propagate_bin s p;
-      let ws = s.watches.(p) in
-      let i = ref 0 and j = ref 0 in
-      let n = Vec.size ws in
-      while !i < n do
-        let w = Vec.unsafe_get ws !i in
-        incr i;
-        if value_lit s w.w_blocker = 1 then begin
-          (* Blocker already true: the clause is satisfied, keep the watcher
-             without touching the clause. *)
-          Vec.unsafe_set ws !j w;
-          incr j
+(* Long clauses watching [negate p]. Entries are compacted in place: [j]
+   trails [i] over the pairs that stay in this list. Returns the
+   conflicting cref, or no_cref. *)
+let propagate_long s p =
+  let ws = s.watches.(p) in
+  let data = ws.data and n = ws.len in
+  let arena = s.arena in
+  let false_lit = Lit.negate p in
+  let i = ref 0 and j = ref 0 in
+  let confl = ref no_cref in
+  while !i < n do
+    let c = data.(!i) and blocker = data.(!i + 1) in
+    i := !i + 2;
+    if value_lit s blocker = 1 then begin
+      (* Blocker already true: the clause is satisfied, keep the entry
+         without touching the clause. *)
+      data.(!j) <- c;
+      data.(!j + 1) <- blocker;
+      j := !j + 2
+    end
+    else begin
+      let h = arena.(c) in
+      if h land 1 = 0 then begin
+        let l0 = c + hdr_words in
+        (* Make sure the false watch is literal 1. *)
+        if arena.(l0) = false_lit then begin
+          arena.(l0) <- arena.(l0 + 1);
+          arena.(l0 + 1) <- false_lit
+        end;
+        let first = arena.(l0) in
+        if value_lit s first = 1 then begin
+          (* Clause already satisfied by the other watch: keep it, with that
+             watch as the new blocker. *)
+          data.(!j) <- c;
+          data.(!j + 1) <- first;
+          j := !j + 2
         end
         else begin
-          let c = w.w_clause in
-          if not c.removed then begin
-            let lits = c.lits in
-            let false_lit = Lit.negate p in
-            (* Make sure the false watch is at position 1. *)
-            if lits.(0) = false_lit then begin
-              lits.(0) <- lits.(1);
-              lits.(1) <- false_lit
-            end;
-            if value_lit s lits.(0) = 1 then begin
-              (* Clause already satisfied by the other watch: keep it, with
-                 that watch as the new blocker. *)
-              Vec.unsafe_set ws !j { w_clause = c; w_blocker = lits.(0) };
-              incr j
+          (* Look for a new literal to watch. *)
+          let stop = l0 + (h lsr 2) in
+          let k = ref (l0 + 2) in
+          while !k < stop && value_lit s arena.(!k) = -1 do incr k done;
+          if !k < stop then begin
+            let nl = arena.(!k) in
+            arena.(l0 + 1) <- nl;
+            arena.(!k) <- false_lit;
+            (* Moves to another list (nl is not false, so not this one). *)
+            Ivec.push2 s.watches.(Lit.negate nl) c first
+          end
+          else begin
+            (* Unit or conflicting. *)
+            data.(!j) <- c;
+            data.(!j + 1) <- first;
+            j := !j + 2;
+            if value_lit s first = -1 then begin
+              (* Conflict: copy the remaining entries back first. *)
+              Array.blit data !i data !j (n - !i);
+              j := !j + (n - !i);
+              i := n;
+              s.qhead <- s.trail.len;
+              confl := c
             end
-            else begin
-              (* Look for a new literal to watch. *)
-              let len = Array.length lits in
-              let k = ref 2 in
-              while !k < len && value_lit s lits.(!k) = -1 do incr k done;
-              if !k < len then begin
-                lits.(1) <- lits.(!k);
-                lits.(!k) <- false_lit;
-                Vec.push s.watches.(Lit.negate lits.(1)) { w_clause = c; w_blocker = lits.(0) }
-                (* not kept in ws: do not copy *)
-              end
-              else begin
-                (* Unit or conflicting. *)
-                Vec.unsafe_set ws !j { w_clause = c; w_blocker = lits.(0) };
-                incr j;
-                if value_lit s lits.(0) = -1 then begin
-                  (* Conflict: copy the remaining watchers back first. *)
-                  while !i < n do
-                    Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-                    incr i;
-                    incr j
-                  done;
-                  Vec.shrink ws !j;
-                  s.qhead <- Vec.size s.trail;
-                  raise (Conflict c)
-                end
-                else unchecked_enqueue s lits.(0) c
-              end
-            end
+            else unchecked_enqueue s first c
           end
         end
-      done;
-      Vec.shrink ws !j
-    done;
-    None
-  with Conflict c -> Some c
+      end
+    end
+  done;
+  ws.len <- !j;
+  !confl
+
+(* Propagate every enqueued literal; returns the conflicting cref, or
+   no_cref at a fixpoint. *)
+let propagate s =
+  let confl = ref no_cref in
+  while !confl = no_cref && s.qhead < s.trail.len do
+    let p = s.trail.data.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    s.n_propagations <- s.n_propagations + 1;
+    confl := propagate_bin s p;
+    if !confl = no_cref then confl := propagate_long s p
+  done;
+  !confl
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
 
-(* Literal-blocks-distance ("glue", Audemard & Simon 2009): the number of
-   distinct decision levels among the literals. Must be called while the
-   literals are still assigned (i.e. before backtracking). *)
-let compute_lbd s lits =
+(* Literal-blocks-distance ("glue", Audemard & Simon 2009) of the literals
+   [a.(off .. off+len-1)]: the number of distinct decision levels among
+   them. Must be called while the literals are still assigned (i.e. before
+   backtracking). *)
+let compute_lbd s a off len =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
   let count = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
-        s.lbd_seen.(lv) <- stamp;
-        incr count
-      end)
-    lits;
+  for i = off to off + len - 1 do
+    let lv = s.level.(Lit.var a.(i)) in
+    if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
+      s.lbd_seen.(lv) <- stamp;
+      incr count
+    end
+  done;
   !count
 
 (* Is [l] implied by the current learnt set? Basic (non-recursive)
@@ -665,82 +857,89 @@ let compute_lbd s lits =
    is already in the learnt clause or at level 0. *)
 let lit_redundant s l =
   let r = s.reason.(Lit.var l) in
-  (not (r == dummy_clause))
+  r <> no_cref
   &&
   let ok = ref true in
-  for k = 1 to Array.length r.lits - 1 do
-    let q = r.lits.(k) in
+  for k = 1 to clause_size s r - 1 do
+    let q = clause_lit s r k in
     if (not s.seen.(Lit.var q)) && s.level.(Lit.var q) > 0 then ok := false
   done;
   !ok
 
-(* Returns (learnt clause literals, backtrack level). The asserting literal
-   is at index 0 of the returned array. *)
+(* Leaves the learnt clause in [learnt_buf], asserting literal first, and
+   returns the backtrack level. *)
 let analyze s confl =
-  let out = Vec.create 0 in
-  Vec.push out 0 (* placeholder for the asserting literal *);
+  let out = s.learnt_buf in
+  out.len <- 0;
+  Ivec.push out 0 (* placeholder for the asserting literal *);
   let path_c = ref 0 in
   let p = ref (-1) in
-  let index = ref (Vec.size s.trail - 1) in
+  let index = ref (s.trail.len - 1) in
   let c = ref confl in
   let continue = ref true in
   while !continue do
-    if !c.learnt then begin
-      bump_clause s !c;
+    let cr = !c in
+    let h = s.arena.(cr) in
+    if h land 2 <> 0 then begin
+      bump_clause s cr;
       (* Dynamic glue update: a learnt clause involved in a new conflict may
          now span fewer levels than when it was learnt. Keep the minimum. *)
-      let d = compute_lbd s !c.lits in
-      if d < !c.lbd then !c.lbd <- d
+      let d = compute_lbd s s.arena (cr + hdr_words) (h lsr 2) in
+      if d < s.arena.(cr + 1) then s.arena.(cr + 1) <- d
     end;
     let start = if !p = -1 then 0 else 1 in
-    for jj = start to Array.length !c.lits - 1 do
-      let q = !c.lits.(jj) in
+    for jj = start to (h lsr 2) - 1 do
+      let q = s.arena.(cr + hdr_words + jj) in
       let v = Lit.var q in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         bump_var s v;
         s.seen.(v) <- true;
-        Vec.push s.analyze_toclear v;
-        if s.level.(v) >= decision_level s then incr path_c
-        else Vec.push out q
+        Ivec.push s.analyze_toclear v;
+        if s.level.(v) >= decision_level s then incr path_c else Ivec.push out q
       end
     done;
     (* Select next literal to expand: latest seen literal on the trail. *)
-    while not s.seen.(Lit.var (Vec.get s.trail !index)) do decr index done;
-    p := Vec.get s.trail !index;
+    while not s.seen.(Lit.var (Ivec.get s.trail !index)) do decr index done;
+    p := Ivec.get s.trail !index;
     decr index;
     c := s.reason.(Lit.var !p);
     s.seen.(Lit.var !p) <- false;
     decr path_c;
     if !path_c <= 0 then continue := false
   done;
-  Vec.set out 0 (Lit.negate !p);
-  (* Minimize: drop redundant literals from the tail. *)
-  let kept = Vec.create 0 in
-  Vec.push kept (Vec.get out 0);
-  for i = 1 to Vec.size out - 1 do
-    let q = Vec.get out i in
-    if not (lit_redundant s q) then Vec.push kept q
+  let lits = out.data in
+  lits.(0) <- Lit.negate !p;
+  (* Minimize in place: drop redundant literals from the tail. *)
+  let kept = ref 1 in
+  for i = 1 to out.len - 1 do
+    let q = lits.(i) in
+    if not (lit_redundant s q) then begin
+      lits.(!kept) <- q;
+      incr kept
+    end
   done;
+  out.len <- !kept;
   (* Find the backtrack level: highest level among tail literals; put that
      literal at index 1 so it is watched after backtracking. *)
   let blevel =
-    if Vec.size kept = 1 then 0
+    if out.len = 1 then 0
     else begin
       let max_i = ref 1 in
-      for i = 2 to Vec.size kept - 1 do
-        if s.level.(Lit.var (Vec.get kept i)) > s.level.(Lit.var (Vec.get kept !max_i))
-        then max_i := i
+      for i = 2 to out.len - 1 do
+        if s.level.(Lit.var lits.(i)) > s.level.(Lit.var lits.(!max_i)) then max_i := i
       done;
-      let tmp = Vec.get kept 1 in
-      Vec.set kept 1 (Vec.get kept !max_i);
-      Vec.set kept !max_i tmp;
-      s.level.(Lit.var (Vec.get kept 1))
+      let tmp = lits.(1) in
+      lits.(1) <- lits.(!max_i);
+      lits.(!max_i) <- tmp;
+      s.level.(Lit.var lits.(1))
     end
   in
   (* Clear the seen flags. *)
-  Vec.iter (fun v -> s.seen.(v) <- false) s.analyze_toclear;
-  Vec.clear s.analyze_toclear;
-  (Array.init (Vec.size kept) (Vec.get kept), blevel)
+  for i = 0 to s.analyze_toclear.len - 1 do
+    s.seen.(s.analyze_toclear.data.(i)) <- false
+  done;
+  s.analyze_toclear.len <- 0;
+  blevel
 
 (* Produce the subset of assumptions responsible for falsifying literal [p]
    (which is a currently-false assumption, passed negated). *)
@@ -749,16 +948,16 @@ let analyze_final s p =
   Vec.push s.conflict p;
   if decision_level s > 0 then begin
     s.seen.(Lit.var p) <- true;
-    let bottom = Vec.get s.trail_lim 0 in
-    for i = Vec.size s.trail - 1 downto bottom do
-      let l = Vec.get s.trail i in
+    let bottom = Ivec.get s.trail_lim 0 in
+    for i = s.trail.len - 1 downto bottom do
+      let l = s.trail.data.(i) in
       let v = Lit.var l in
       if s.seen.(v) then begin
         let r = s.reason.(v) in
-        if r == dummy_clause then Vec.push s.conflict (Lit.negate l)
+        if r = no_cref then Vec.push s.conflict (Lit.negate l)
         else
-          for k = 1 to Array.length r.lits - 1 do
-            let q = r.lits.(k) in
+          for k = 1 to clause_size s r - 1 do
+            let q = clause_lit s r k in
             if s.level.(Lit.var q) > 0 then s.seen.(Lit.var q) <- true
           done;
         s.seen.(v) <- false
@@ -800,21 +999,14 @@ let add_clause s lits =
       match filtered with
       | [] -> s.ok <- false
       | [ l ] ->
-          unchecked_enqueue s l dummy_clause;
-          if propagate s <> None then begin
+          unchecked_enqueue s l no_cref;
+          if propagate s <> no_cref then begin
             s.ok <- false;
             log_empty s
           end
       | _ :: _ :: _ ->
-          let c =
-            {
-              lits = Array.of_list filtered;
-              learnt = false;
-              act = 0.;
-              lbd = 0;
-              removed = false;
-            }
-          in
+          let a = Array.of_list filtered in
+          let c = alloc_clause s a (Array.length a) ~learnt:false ~lbd:0 in
           Vec.push s.clauses c;
           attach_clause s c
     end
@@ -833,49 +1025,56 @@ let reduce_db s =
      currently acting as a reason are always kept. *)
   Vec.sort_sub
     (fun a b ->
-      if a.lbd <> b.lbd then Int.compare b.lbd a.lbd else Float.compare a.act b.act)
+      let la = clause_lbd s a and lb = clause_lbd s b in
+      if la <> lb then Int.compare lb la else Float.compare (clause_act s a) (clause_act s b))
     s.learnts;
   let n = Vec.size s.learnts in
-  let keep = Vec.create dummy_clause in
+  let kept = ref 0 in
   for i = 0 to n - 1 do
     let c = Vec.get s.learnts i in
-    if locked s c || Array.length c.lits = 2 || c.lbd <= 2 || i >= n / 2 then
-      Vec.push keep c
+    if locked s c || clause_size s c = 2 || clause_lbd s c <= 2 || i >= n / 2 then begin
+      Vec.set s.learnts !kept c;
+      incr kept
+    end
     else remove_clause s c
   done;
-  Vec.clear s.learnts;
-  Vec.iter (fun c -> Vec.push s.learnts c) keep;
+  Vec.shrink s.learnts !kept;
+  maybe_compact s;
   if Obs.on () then
     Obs.Trace.span_end "sat.reduce"
       ~args:[ ("kept", string_of_int (Vec.size s.learnts)) ]
 
 let clause_satisfied s c =
-  let rec loop i = i < Array.length c.lits && (value_lit s c.lits.(i) = 1 || loop (i + 1)) in
+  let rec loop i = i < clause_size s c && (value_lit s (clause_lit s c i) = 1 || loop (i + 1)) in
   loop 0
 
 let simplify s =
   assert (decision_level s = 0);
   if Obs.on () then Obs.Trace.span_begin "sat.simplify";
-  if s.ok && propagate s = None then begin
-    let compact ?(track_watermark = false) vec =
-      let keep = Vec.create dummy_clause in
+  if s.ok && propagate s = no_cref then begin
+    (* Drop removed and satisfied (unlocked) clauses, keeping the order. *)
+    let sweep ?(track_watermark = false) db =
+      let kept = ref 0 in
       let removed_below = ref 0 in
-      for i = 0 to Vec.size vec - 1 do
-        let c = Vec.get vec i in
-        if c.removed || (clause_satisfied s c && not (locked s c)) then begin
-          if not c.removed then remove_clause s c;
+      for i = 0 to Vec.size db - 1 do
+        let c = Vec.get db i in
+        if clause_removed s c || (clause_satisfied s c && not (locked s c)) then begin
+          if not (clause_removed s c) then remove_clause s c;
           if track_watermark && i < s.pre_watermark then incr removed_below
         end
-        else Vec.push keep c
+        else begin
+          Vec.set db !kept c;
+          incr kept
+        end
       done;
-      Vec.clear vec;
-      Vec.iter (fun c -> Vec.push vec c) keep;
+      Vec.shrink db !kept;
       (* Keep the preprocessing watermark pointing at the first clause not
-         yet seen by [preprocess], across the index shifts of compaction. *)
+         yet seen by [preprocess], across the index shifts of the sweep. *)
       if track_watermark then s.pre_watermark <- max 0 (s.pre_watermark - !removed_below)
     in
-    compact s.learnts;
-    compact ~track_watermark:true s.clauses;
+    sweep s.learnts;
+    sweep ~track_watermark:true s.clauses;
+    maybe_compact s;
     if Obs.on () then Obs.Trace.span_end "sat.simplify"
   end
   else begin
@@ -894,7 +1093,7 @@ let pick_branch_var s =
     if Vec.is_empty s.heap then None
     else begin
       let v = heap_pop s in
-      if s.assigns.(v) = 0 then Some v else loop ()
+      if not (var_assigned s v) then Some v else loop ()
     end
   in
   loop ()
@@ -920,8 +1119,8 @@ let current_stats s =
 (* Budget/cancellation poll, called on the cheap boundaries of the search
    loop (once per propagate-or-conflict iteration, never inside a
    propagation wave). Counter checks are plain compares against the
-   absolute limits; the wall clock is only consulted every 64 polls, and
-   only when a deadline is set. *)
+   absolute limits; the wall clock is only consulted when a deadline is
+   set. *)
 let poll_limits s =
   if s.n_conflicts >= s.lim_conflicts then raise (Stop Out_of_conflicts);
   if s.n_propagations >= s.lim_propagations then raise (Stop Out_of_propagations);
@@ -961,7 +1160,7 @@ let decide s =
           raise Found_unsat
       | _ ->
           new_decision_level s;
-          unchecked_enqueue s p dummy_clause
+          unchecked_enqueue s p no_cref
     end
     else begin
       s.n_decisions <- s.n_decisions + 1;
@@ -970,70 +1169,72 @@ let decide s =
       | Some v ->
           let l = Lit.make v ~neg:s.polarity.(v) in
           new_decision_level s;
-          unchecked_enqueue s l dummy_clause
+          unchecked_enqueue s l no_cref
     end
   in
   assume ()
 
-let record_learnt s learnt blevel ~lbd =
+(* Record the clause [analyze] left in [learnt_buf]. *)
+let record_learnt s blevel ~lbd =
+  let buf = s.learnt_buf in
+  let len = buf.len in
   (* First-UIP learnt clauses are derived by resolution over reason clauses,
      hence RUP with respect to the clauses alive right now. *)
-  log_add_arr s learnt;
-  (* Offer the clause to the sharing hook before attaching: the solver
-     permutes [learnt] in place afterwards, so the hook gets a private
-     copy it may publish to other domains. *)
+  if s.proof_logging then log_add_arr s (Array.sub buf.data 0 len);
+  (* Offer the clause to the sharing hook: it gets a private copy it may
+     publish to other domains. *)
   (match s.export_hook with
   | None -> ()
   | Some hook ->
-      if hook (Array.copy learnt) ~lbd then s.n_exported <- s.n_exported + 1);
+      if hook (Array.sub buf.data 0 len) ~lbd then s.n_exported <- s.n_exported + 1);
   cancel_until s blevel;
-  match Array.length learnt with
-  | 1 ->
-      (* Asserting unit: goes to level 0 semantically, but we may be above
-         level 0 because of assumptions; enqueue at the current (backtracked)
-         level with no reason. Correct because blevel = 0 for units. *)
-      unchecked_enqueue s learnt.(0) dummy_clause
-  | _ ->
-      let c = { lits = learnt; learnt = true; act = 0.; lbd; removed = false } in
-      s.learnt_bytes <- s.learnt_bytes + 40 + (8 * Array.length learnt);
-      Vec.push s.learnts c;
-      attach_clause s c;
-      bump_clause s c;
-      unchecked_enqueue s learnt.(0) c
+  if len = 1 then
+    (* Asserting unit: goes to level 0 semantically, but we may be above
+       level 0 because of assumptions; enqueue at the current (backtracked)
+       level with no reason. Correct because blevel = 0 for units. *)
+    unchecked_enqueue s buf.data.(0) no_cref
+  else begin
+    let c = alloc_clause s buf.data len ~learnt:true ~lbd in
+    s.learnt_bytes <- s.learnt_bytes + clause_bytes len;
+    Vec.push s.learnts c;
+    attach_clause s c;
+    bump_clause s c;
+    unchecked_enqueue s buf.data.(0) c
+  end
 
 let search s ~max_conflicts =
   let conflict_c = ref 0 in
   let continue = ref true in
   while !continue do
     poll_limits s;
-    match propagate s with
-    | Some confl ->
-        s.n_conflicts <- s.n_conflicts + 1;
-        incr conflict_c;
-        if decision_level s = 0 then begin
-          s.ok <- false;
-          log_empty s;
-          raise Found_unsat
-        end;
-        let learnt, blevel = analyze s confl in
-        (* LBD must be computed before [record_learnt] backtracks. *)
-        let lbd = compute_lbd s learnt in
-        record_learnt s learnt blevel ~lbd;
-        decay_var_activity s;
-        decay_clause_activity s
-    | None ->
-        if !conflict_c >= max_conflicts then begin
-          cancel_until s 0;
-          raise Restart
-        end;
-        if decision_level s = 0 then simplify s;
-        if not s.ok then raise Found_unsat;
-        if float_of_int (Vec.size s.learnts) -. float_of_int (Vec.size s.trail)
-           >= s.max_learnts
-        then reduce_db s;
-        decide s
+    let confl = propagate s in
+    if confl <> no_cref then begin
+      s.n_conflicts <- s.n_conflicts + 1;
+      incr conflict_c;
+      if decision_level s = 0 then begin
+        s.ok <- false;
+        log_empty s;
+        raise Found_unsat
+      end;
+      let blevel = analyze s confl in
+      (* LBD must be computed before [record_learnt] backtracks. *)
+      let lbd = compute_lbd s s.learnt_buf.data 0 s.learnt_buf.len in
+      record_learnt s blevel ~lbd;
+      decay_var_activity s;
+      decay_clause_activity s
+    end
+    else begin
+      if !conflict_c >= max_conflicts then begin
+        cancel_until s 0;
+        raise Restart
+      end;
+      if decision_level s = 0 then simplify s;
+      if not s.ok then raise Found_unsat;
+      if float_of_int (Vec.size s.learnts) -. float_of_int s.trail.len >= s.max_learnts
+      then reduce_db s;
+      decide s
+    end
   done
-
 (* Luby restart sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
 let rec luby i =
   (* Smallest k with 2^k - 1 >= i. *)
@@ -1119,11 +1320,11 @@ let integrate_import s lits =
     else if len = 1 || !k = 1 then begin
       (* Unit under the level-0 assignment: assert the surviving literal;
          the clause itself adds nothing beyond it. *)
-      if value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause
+      if value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) no_cref
     end
     else begin
-      let c = { lits = l; learnt = true; act = 0.; lbd = len; removed = false } in
-      s.learnt_bytes <- s.learnt_bytes + 40 + (8 * len);
+      let c = alloc_clause s l len ~learnt:true ~lbd:len in
+      s.learnt_bytes <- s.learnt_bytes + clause_bytes len;
       Vec.push s.learnts c;
       attach_clause s c
     end
@@ -1166,7 +1367,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?cancel ?seed s =
             assert false
           with
          | Found_sat ->
-             s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+             s.model <- Array.init s.nvars (fun v -> value_lit s (Lit.pos v) = 1);
              (* Extend the model over variables resolved away by elimination
                 so callers can read any variable they ever allocated. *)
              if s.elim_stack <> [] then Simplify.extend_model s.elim_stack s.model;
@@ -1238,8 +1439,7 @@ let unsat_assumptions s =
    propagating between actions, so a clause may arrive with literals that
    are already false. *)
 let install_clause s lits =
-  let c = { lits = Array.copy lits; learnt = false; act = 0.; lbd = 0; removed = false } in
-  let l = c.lits in
+  let l = Array.copy lits in
   let len = Array.length l in
   let k = ref 0 in
   (try
@@ -1253,13 +1453,14 @@ let install_clause s lits =
        end
      done
    with Exit -> ());
+  let c = alloc_clause s l len ~learnt:false ~lbd:0 in
   Vec.push s.clauses c;
   attach_clause s c;
   if !k = 0 then begin
     s.ok <- false;
     log_empty s
   end
-  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) dummy_clause;
+  else if !k = 1 && value_lit s l.(0) = 0 then unchecked_enqueue s l.(0) no_cref;
   c
 
 let preprocess ?(elim = false) ?(frozen = []) s =
@@ -1302,23 +1503,26 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     (* Level-0 implied literals never need their reason clause again
        (conflict analysis stops above level 0), so clear the pointers and
        let preprocessing strengthen or delete former reasons freely. *)
-    Vec.iter (fun l -> s.reason.(Lit.var l) <- dummy_clause) s.trail;
+    for i = 0 to s.trail.len - 1 do
+      s.reason.(Lit.var s.trail.data.(i)) <- no_cref
+    done;
     let n = Vec.size s.clauses in
-    let ntrail = Vec.size s.trail in
+    let ntrail = s.trail.len in
     let db = Array.make (n + ntrail) [||] in
     let protected = Array.make (n + ntrail) false in
-    let tbl : (int, clause) Hashtbl.t = Hashtbl.create (2 * (n + ntrail) + 16) in
+    (* Simplify's clause ids -> crefs. *)
+    let tbl : (int, int) Hashtbl.t = Hashtbl.create (2 * (n + ntrail) + 16) in
     for i = 0 to n - 1 do
       let c = Vec.get s.clauses i in
-      (* Snapshot: the solver permutes clause arrays in place. *)
-      db.(i) <- Array.copy c.lits;
+      (* Snapshot: the solver permutes clause literals in place. *)
+      db.(i) <- clause_lits s c;
       Hashtbl.replace tbl i c
     done;
     (* The level-0 trail enters the database as protected unit clauses: it
        subsumes and strengthens but is itself immutable (those literals are
        assignments, not clause objects, and their DRAT events must stay). *)
     for i = 0 to ntrail - 1 do
-      db.(n + i) <- [| Vec.get s.trail i |];
+      db.(n + i) <- [| s.trail.data.(i) |];
       protected.(n + i) <- true
     done;
     let fr = Array.make (max 1 s.nvars) false in
@@ -1345,7 +1549,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
     let apply = function
       | Simplify.Remove id -> (
           match Hashtbl.find_opt tbl id with
-          | Some c -> if not c.removed then remove_clause s c
+          | Some c -> if not (clause_removed s c) then remove_clause s c
           | None -> ())
       | Simplify.Strengthen (id, lits) -> (
           match Hashtbl.find_opt tbl id with
@@ -1353,7 +1557,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
               log_add_arr s lits;
               let c = install_clause s lits in
               Hashtbl.replace tbl id c;
-              if not old.removed then remove_clause s old
+              if not (clause_removed s old) then remove_clause s old
           | None -> ())
       | Simplify.Add (id, lits) ->
           log_add_arr s lits;
@@ -1362,7 +1566,7 @@ let preprocess ?(elim = false) ?(frozen = []) s =
       | Simplify.Unit l ->
           log_add_list s [ l ];
           (match value_lit s l with
-          | 0 -> unchecked_enqueue s l dummy_clause
+          | 0 -> unchecked_enqueue s l no_cref
           | 1 -> ()
           | _ ->
               s.ok <- false;
@@ -1379,17 +1583,24 @@ let preprocess ?(elim = false) ?(frozen = []) s =
           s.elim_stack <- (v, saved) :: s.elim_stack
     in
     List.iter (fun a -> if not !stopped then apply a) actions;
-    if s.ok && propagate s <> None then begin
+    if s.ok && propagate s <> no_cref then begin
       s.ok <- false;
       log_empty s
     end;
-    (* Compact the problem database and advance the watermarks. *)
-    let keep = Vec.create dummy_clause in
-    Vec.iter (fun c -> if not c.removed then Vec.push keep c) s.clauses;
-    Vec.clear s.clauses;
-    Vec.iter (fun c -> Vec.push s.clauses c) keep;
+    (* Sweep removed clauses out of the problem database, reclaim their
+       arena words and advance the watermarks. *)
+    let kept = ref 0 in
+    for i = 0 to Vec.size s.clauses - 1 do
+      let c = Vec.get s.clauses i in
+      if not (clause_removed s c) then begin
+        Vec.set s.clauses !kept c;
+        incr kept
+      end
+    done;
+    Vec.shrink s.clauses !kept;
+    maybe_compact s;
     s.pre_watermark <- Vec.size s.clauses;
-    s.pre_trail_mark <- Vec.size s.trail;
+    s.pre_trail_mark <- s.trail.len;
     finish st
   end
 
@@ -1436,9 +1647,11 @@ let export_cnf s =
   if decision_level s <> 0 then
     invalid_arg "Solver.export_cnf: only allowed at decision level 0";
   let acc = ref [] in
-  Vec.iter (fun c -> if not c.removed then acc := Array.copy c.lits :: !acc) s.learnts;
-  Vec.iter (fun c -> if not c.removed then acc := Array.copy c.lits :: !acc) s.clauses;
-  Vec.iter (fun l -> acc := [| l |] :: !acc) s.trail;
+  Vec.iter (fun c -> if not (clause_removed s c) then acc := clause_lits s c :: !acc) s.learnts;
+  Vec.iter (fun c -> if not (clause_removed s c) then acc := clause_lits s c :: !acc) s.clauses;
+  for i = 0 to s.trail.len - 1 do
+    acc := [| s.trail.data.(i) |] :: !acc
+  done;
   (s.nvars, !acc)
 
 (* Adopt a model found by a portfolio worker over a CNF exported from this

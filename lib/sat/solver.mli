@@ -1,9 +1,13 @@
 (** CDCL SAT solver.
 
     A MiniSat-style conflict-driven clause-learning solver: two-watched-
-    literal propagation, first-UIP clause learning with basic conflict-clause
-    minimization, VSIDS branching with phase saving, Luby restarts and
-    activity-based learnt-clause database reduction. It solves incrementally:
+    literal propagation with blocker literals and separate binary
+    implication lists, first-UIP clause learning with basic (non-recursive)
+    conflict-clause minimization, VSIDS branching with phase saving, Luby
+    restarts, and glue-based learnt-clause database reduction (highest LBD
+    dropped first, clause activity as the tiebreak; binary, glue <= 2 and
+    reason clauses are kept). Clauses live in one flat int arena that is
+    compacted once a fifth of it is removed clauses. It solves incrementally:
     clauses may be added between [solve] calls, and each call may pass
     assumptions (temporary unit hypotheses) whose unsatisfiable core is
     available after an UNSAT answer.
@@ -32,7 +36,10 @@ type budget = {
   max_propagations : int option;
   max_decisions : int option;
   max_seconds : float option;
-  max_learnt_mb : float option;  (** estimated learnt-DB footprint *)
+  max_learnt_mb : float option;
+      (** learnt-DB footprint cap: the arena words the live learnt clauses
+          occupy (a 3-word header plus one word per literal), at 8 bytes a
+          word; watch entries and activities are not counted *)
 }
 
 val no_budget : budget

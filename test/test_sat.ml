@@ -523,21 +523,25 @@ let test_preprocess_drat_certified () =
 (* ------------------------------------------------------------------ *)
 (* Resource governance: budgets, cancellation, fault injection, reuse.  *)
 
+(* Pigeonhole np/nh over fresh variables of [s], as clause lists: one
+   "some hole" clause per pigeon, then "not both" pairs hole by hole. *)
+let pigeonhole_clauses s np nh =
+  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Solver.new_var s)) in
+  let pairs = ref [] in
+  for h = 0 to nh - 1 do
+    for i = 0 to np - 1 do
+      for j = i + 1 to np - 1 do
+        pairs := [ Lit.neg p.(i).(h); Lit.neg p.(j).(h) ] :: !pairs
+      done
+    done
+  done;
+  List.init np (fun i -> List.init nh (fun h -> Lit.pos p.(i).(h))) @ List.rev !pairs
+
 (* Pigeonhole np/nh: UNSAT for np > nh, with enough real search that every
    budget kind gets a chance to fire before the verdict. *)
 let pigeonhole np nh =
   let s = Solver.create () in
-  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Solver.new_var s)) in
-  for i = 0 to np - 1 do
-    Solver.add_clause s (List.init nh (fun h -> Lit.pos p.(i).(h)))
-  done;
-  for h = 0 to nh - 1 do
-    for i = 0 to np - 1 do
-      for j = i + 1 to np - 1 do
-        Solver.add_clause s [ Lit.neg p.(i).(h); Lit.neg p.(j).(h) ]
-      done
-    done
-  done;
+  List.iter (Solver.add_clause s) (pigeonhole_clauses s np nh);
   s
 
 let expect_unknown name expected = function
@@ -634,17 +638,7 @@ module Portfolio = Sat.Portfolio
 let pigeonhole_logged np nh =
   let s = Solver.create () in
   Solver.start_proof s;
-  let p = Array.init np (fun _ -> Array.init nh (fun _ -> Solver.new_var s)) in
-  for i = 0 to np - 1 do
-    Solver.add_clause s (List.init nh (fun h -> Lit.pos p.(i).(h)))
-  done;
-  for h = 0 to nh - 1 do
-    for i = 0 to np - 1 do
-      for j = i + 1 to np - 1 do
-        Solver.add_clause s [ Lit.neg p.(i).(h); Lit.neg p.(j).(h) ]
-      done
-    done
-  done;
+  List.iter (Solver.add_clause s) (pigeonhole_clauses s np nh);
   s
 
 let test_ring_overflow_drop () =
@@ -771,6 +765,104 @@ let test_portfolio_one_worker_is_plain () =
   Alcotest.(check bool) "same verdict" true (o.Portfolio.o_result = r_direct);
   Alcotest.(check bool) "same stats" true (o.Portfolio.o_stats = Solver.stats direct)
 
+(* ------------------------------------------------------------------ *)
+(* Long incremental runs. The random properties above stay far below the
+   1000-learnt threshold of the learnt-database reduction; these runs learn
+   enough to reduce many times, sweep satisfied clauses at level 0 and
+   compact the clause arena, and every answer is still checked. *)
+
+(* Random 3-SAT over variables [base .. base + nvars - 1], three distinct
+   variables per clause. *)
+let random_3sat rand ~base ~nvars ~nclauses =
+  List.init nclauses (fun _ ->
+      let rec pick acc =
+        if List.length acc = 3 then acc
+        else
+          let v = base + Random.State.int rand nvars in
+          pick (if List.mem v acc then acc else v :: acc)
+      in
+      List.map (fun v -> Lit.make v ~neg:(Random.State.bool rand)) (pick []))
+
+(* The trace events of [f ()], run with tracing on. *)
+let trace_of f =
+  let was_on = Obs.on () in
+  Obs.Trace.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.reset ();
+      if not was_on then Obs.disable ())
+    (fun () ->
+      f ();
+      Obs.Trace.events ())
+
+let test_long_run_reduce_compact () =
+  let events =
+    trace_of (fun () ->
+        let rand = Random.State.make [| 14 |] in
+        let s = Solver.create () in
+        Solver.start_proof s;
+        (* Restarts grow the reduction threshold by 5% each; without them
+           it stays at 1000 learnts and every ~1000 conflicts reduce. *)
+        Solver.configure ~restart_base:1_000_000 s;
+        let added = ref [] in
+        let sat = ref 0 and unsat = ref 0 in
+        (* Each round's clauses are guarded by a fresh activation literal and
+           solved under it, so an UNSAT round leaves the solver usable. *)
+        let round clauses =
+          let act = Lit.pos (Solver.new_var s) in
+          List.iter
+            (fun c ->
+              let c = Lit.negate act :: c in
+              Solver.add_clause s c;
+              added := c :: !added)
+            clauses;
+          ignore (Solver.preprocess ~elim:false s);
+          (match Solver.solve ~assumptions:[ act ] s with
+          | Solver.Sat ->
+              incr sat;
+              if not (Solver.value s act) then Alcotest.fail "model drops the assumption";
+              if not (check_model s !added) then Alcotest.fail "model violates a clause"
+          | Solver.Unsat -> (
+              incr unsat;
+              match Sat.Drat.check ~assumptions:[ act ] (Solver.proof s) with
+              | Ok () -> ()
+              | Error msg -> Alcotest.failf "DRAT certificate rejected: %s" msg)
+          | Solver.Unknown _ -> Alcotest.fail "unexpected unknown without a budget");
+          act
+        in
+        for r = 1 to 24 do
+          let base = Solver.nvars s in
+          ignore (fresh_vars s 100);
+          let act = round (random_3sat rand ~base ~nvars:100 ~nclauses:430) in
+          (* Retire every other round: its clauses and the learnts over its
+             activation literal become satisfied at level 0 and are swept. *)
+          if r mod 2 = 1 then Solver.add_clause s [ Lit.negate act ];
+          if r mod 8 = 0 then ignore (round (pigeonhole_clauses s 7 6))
+        done;
+        Alcotest.(check bool) "some rounds SAT" true (!sat > 0);
+        Alcotest.(check bool) "some rounds UNSAT" true (!unsat > 0);
+        (* The plain refutation: no assumptions, so the proof must end in
+           the empty clause. *)
+        let s = pigeonhole_logged 7 6 in
+        ignore (Solver.preprocess ~elim:false s);
+        Alcotest.(check bool) "php 7/6 unsat" true (Solver.solve s = Solver.Unsat);
+        match Sat.Drat.check (Solver.proof s) with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "DRAT certificate rejected: %s" msg)
+  in
+  let named n = List.filter (fun e -> e.Obs.Trace.ev_name = n) events in
+  let arg k e = int_of_string (List.assoc k e.Obs.Trace.ev_args) in
+  let reduces = named "sat.reduce" in
+  let begins = List.filter (fun e -> e.Obs.Trace.ev_kind = Obs.Trace.Begin) reduces in
+  let ends = List.filter (fun e -> e.Obs.Trace.ev_kind = Obs.Trace.End) reduces in
+  Alcotest.(check bool) "many reductions" true (List.length begins >= 5);
+  Alcotest.(check bool)
+    "a reduction shrank the learnt database" true
+    (List.exists2 (fun b e -> arg "kept" e < arg "learnts" b) begins ends);
+  Alcotest.(check bool) "level-0 sweeps ran" true (List.length (named "sat.simplify") > 0);
+  Alcotest.(check bool) "the arena was compacted" true (named "sat.compact" <> [])
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -819,6 +911,7 @@ let suite =
     ("govern.reuse_after_unknown", `Quick, test_reusable_after_unknown);
     ("govern.budget_scale", `Quick, test_budget_scale);
     ("govern.seed_verdict", `Quick, test_seed_preserves_verdict);
+    ("sat.long_run_reduce_compact", `Quick, test_long_run_reduce_compact);
     ("portfolio.ring_overflow", `Quick, test_ring_overflow_drop);
     ("portfolio.unsat_matches_single", `Quick, test_portfolio_unsat_matches_single);
     ("portfolio.unsat_certified", `Quick, test_portfolio_unsat_certified);
