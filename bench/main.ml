@@ -82,7 +82,7 @@ type config = {
   share : bool;
   workers : int; (* 0: auto *)
   batch : int;
-  policy : Par.Supervise.restart_policy;
+  policy : Dist.restart_policy;
   designs : string list option;
   seed : int;
   checkpoint : string option;
@@ -1473,6 +1473,18 @@ let campaign_members ?(records = 0) ?(kill_at = 0) ?(skipped = 0) ?(rerun = 0)
       ("matrix", Arr matrix);
     ]
 
+(* R2's supervision lane: a steady, a flaky (two crashes) and a doomed
+   solve, counted per key. Registered for Dist.run; solved in-process. *)
+let r2_demo = [ ("steady", 0); ("flaky", 2); ("doomed", max_int) ]
+let r2_attempts : (string, int) Hashtbl.t = Hashtbl.create 8
+
+let () =
+  Dist.register "bench-r2-supervise" (fun ~arg:_ name ->
+      let a = 1 + Option.value ~default:0 (Hashtbl.find_opt r2_attempts name) in
+      Hashtbl.replace r2_attempts name a;
+      if a <= List.assoc name r2_demo then failwith (name ^ ": injected crash");
+      (true, name))
+
 let r2 env =
   header "R2  Crash-safe campaigns: kill/resume equivalence + supervised restarts";
   Printf.printf
@@ -1489,16 +1501,16 @@ let r2 env =
       entries
   in
   let limits = env.cfg.limits in
-  (* One pass over the cells through a journal at [path]: supervised
-     fan-out, decided journal hits are skipped on resume. Returns the
-     verdict matrix keyed by (design, case) and the campaign stats. *)
+  (* One pass over the cells through a journal at [path]: Par fan-out,
+     decided journal hits are skipped on resume. Returns the verdict
+     matrix keyed by (design, case) and the campaign stats. *)
   let run_campaign ?fault ~resume path =
     match Persist.Campaign.start ?fault ~resume ~force:false path with
     | Error msg -> failwith ("r2: " ^ msg)
     | Ok c ->
-        let outcomes =
-          Par.Supervise.supervise ~jobs:env.cfg.jobs
-            (fun _token (_label, e, design) ->
+        let reports =
+          par_map env
+            (fun (_label, e, design) ->
               let key =
                 Checks.campaign_key Checks.Gqed design e.Entry.iface
                   ~bound:e.Entry.rec_bound
@@ -1524,12 +1536,8 @@ let r2 env =
         Persist.Campaign.close c;
         let verdicts =
           List.map2
-            (fun (label, e, _) o ->
-              ( (e.Entry.name, label),
-                match o.Par.Supervise.s_result with
-                | Ok r -> verdict_key r
-                | Error cls -> "gave-up:" ^ Par.Supervise.class_to_string cls ))
-            cells outcomes
+            (fun (label, e, _) r -> ((e.Entry.name, label), verdict_key r))
+            cells reports
         in
         (verdicts, stats)
   in
@@ -1579,45 +1587,38 @@ let r2 env =
     "I/O-fault lane: %d append(s) lost to injected faults, %d flip(s) while faulting, \
      %d flip(s) after resuming the damaged journal\n"
     stats_faulty.Persist.Campaign.c_write_errors fault_flips fault_resume_flips;
-  (* Lane 3: supervision — a worker that crashes twice must be restarted
-     into success, a worker that always crashes must degrade to a typed
-     give-up without aborting its siblings. Serial so the attempt counts
-     are deterministic. *)
-  let attempt_counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let demo = [ ("steady", 0); ("flaky", 2); ("doomed", max_int) ] in
-  let outcomes =
-    Par.Supervise.supervise ~jobs:1
-      (fun _token (name, crashes) ->
-        let a = Option.value ~default:0 (Hashtbl.find_opt attempt_counts name) in
-        Hashtbl.replace attempt_counts name (a + 1);
-        if a < crashes then failwith (name ^ ": injected crash");
-        name)
-      demo
+  (* Lane 3: supervision — a solve that crashes twice must be retried
+     into success, one that always crashes must degrade to an undecided
+     row without aborting its siblings. In-process (one worker) so the
+     attempt counts are deterministic. *)
+  Hashtbl.reset r2_attempts;
+  let j_sup = tmp_journal "supervise" in
+  let sup_rows, sup_stats =
+    match
+      Dist.run ~workers:1 ~sync:false ~resume:false ~force:false ~journal:j_sup
+        ~solver:"bench-r2-supervise"
+        (List.map (fun (name, _) -> { Dist.cell_key = name; cell_hint = 0. }) r2_demo)
+    with
+    | Ok v -> v
+    | Error msg -> failwith ("r2: " ^ msg)
   in
   let supervised =
     List.map2
-      (fun (name, crashes) o ->
+      (fun (name, crashes) (r : Dist.row) ->
+        let attempts = Hashtbl.find r2_attempts name in
         Printf.printf "supervise: %-8s %s after %d attempt(s)\n" name
-          (match o.Par.Supervise.s_result with
-          | Ok _ -> "succeeded"
-          | Error cls -> "gave up (" ^ Par.Supervise.class_to_string cls ^ ")")
-          o.Par.Supervise.s_attempts;
-        let gave_up, ok =
-          match o.Par.Supervise.s_result with
-          | Ok n -> (false, n = name && crashes < o.Par.Supervise.s_attempts)
-          | Error (Par.Supervise.Crash _) -> (true, crashes = max_int)
-          | Error _ -> (false, false)
-        in
-        (o.Par.Supervise.s_attempts - 1, gave_up, ok))
-      demo outcomes
+          (if r.Dist.r_decided then "succeeded" else "gave up")
+          attempts;
+        if r.Dist.r_decided then r.Dist.r_payload = name && attempts = crashes + 1
+        else crashes = max_int && attempts = Dist.default_policy.Dist.max_restarts + 1)
+      r2_demo sup_rows
   in
-  let count p = List.length (List.filter p supervised) in
-  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j_kill; j_fault ];
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j_kill; j_fault; j_sup ];
   (* A misbehaving supervisor is a campaign-correctness bug: gate it like a
      flip. *)
   let flips =
     R.lane_flips full resumed + fault_flips + fault_resume_flips
-    + count (fun (_, _, ok) -> not ok)
+    + List.length (List.filter not supervised)
   in
   if flips = 0 then
     Printf.printf
@@ -1647,8 +1648,7 @@ let r2 env =
                ~rerun:stats_res.Persist.Campaign.c_appended ~flips
                ~write_errors:stats_faulty.Persist.Campaign.c_write_errors
                ~recovered_bytes:stats_res.Persist.Campaign.c_recovered_bytes
-               ~restarts:(List.fold_left (fun n (r, _, _) -> n + r) 0 supervised)
-               ~gave_up:(count (fun (_, g, _) -> g))
+               ~restarts:sup_stats.Dist.d_restarts ~gave_up:sup_stats.Dist.d_gave_up
                ~matrix ()) );
       ];
     gates = [ { count = flips; what = "kill/resume campaign verdict flip(s)" } ];
@@ -1895,7 +1895,7 @@ let dist_exp env =
     (if killed then "" else " (campaign finished first)")
     st_r.Dist.d_merged st_r.Dist.d_skipped resume_flips
     (if resume_flips > 0 then "  VERDICT FLIP" else "");
-  (* Supervised-restart lane: same kill, `Restart mode — the supervisor
+  (* Restart lane: same kill, `Restart mode — the supervisor
      revives the worker and the run completes on its own. *)
   let restart_flips, restart_restarts =
     match per_design with
@@ -2007,9 +2007,9 @@ let parse_args () =
   let timeout = ref None and max_conflicts = ref None and escalate = ref true in
   let portfolio = ref 4 and share = ref true in
   let workers = ref 0 and batch = ref 2 in
-  let d = Par.Supervise.default_policy in
-  let max_restarts = ref d.Par.Supervise.max_restarts in
-  let backoff = ref d.Par.Supervise.backoff_s and retry_oom = ref true in
+  let d = Dist.default_policy in
+  let max_restarts = ref d.Dist.max_restarts in
+  let backoff = ref d.Dist.backoff_s and retry_oom = ref true in
   let designs = ref None and seed = ref 0 in
   let checkpoint = ref None and resume = ref false and force = ref false in
   let json = ref None and trace = ref None and metrics = ref None in
@@ -2096,9 +2096,9 @@ let parse_args () =
       batch = !batch;
       policy =
         {
-          Par.Supervise.max_restarts = !max_restarts;
+          Dist.max_restarts = !max_restarts;
           backoff_s = !backoff;
-          backoff_cap_s = Float.max !backoff d.Par.Supervise.backoff_cap_s;
+          backoff_cap_s = Float.max !backoff d.Dist.backoff_cap_s;
           retry_oom = !retry_oom;
         };
       designs = !designs;

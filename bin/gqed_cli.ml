@@ -99,16 +99,17 @@ let info_cmd =
 
 (* ---- verify ---- *)
 
+let techniques =
+  [
+    ("gqed", Checks.Gqed); ("flow", Checks.Gqed_flow); ("aqed", Checks.Aqed);
+    ("gqed-out", Checks.Gqed_output_only); ("sa", Checks.Sa);
+    ("stability", Checks.Stability);
+  ]
+
 let technique_arg =
-  let techniques =
-    [
-      ("flow", `Flow); ("gqed", `Gqed); ("aqed", `Aqed); ("gqed-out", `Gqed_out);
-      ("sa", `Sa); ("stability", `Stability);
-    ]
-  in
   Arg.(
     value
-    & opt (enum techniques) `Gqed
+    & opt (enum techniques) Checks.Gqed
     & info [ "technique" ] ~docv:"TECH"
         ~doc:
           "One of $(b,gqed) (default), $(b,flow) (reset+SA+stability+G-FC), \
@@ -120,9 +121,11 @@ let jobs_arg =
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "With $(b,--all-mutants), fan the per-mutant checks out over $(docv) \
-           domains. Verdicts are identical to the serial run. A single check \
-           runs on one domain whatever $(docv) is.")
+          "With $(b,--all-mutants), solve the per-mutant checks in $(docv) worker \
+           processes (this executable re-run as a campaign worker, exactly as \
+           $(b,gqed campaign --workers)); $(b,1) (default) solves them \
+           in-process. Verdicts are identical to the serial run. A single check \
+           runs in-process whatever $(docv) is.")
 
 let all_mutants_flag =
   Arg.(
@@ -185,7 +188,9 @@ let timeout_arg =
         ~doc:
           "Per-query wall-clock budget in seconds. An exhausted budget turns the \
            verdict into $(b,unknown) (exit code 3) rather than hanging; with \
-           $(b,--all-mutants) it also bounds each mutant's task via a watchdog.")
+           $(b,--all-mutants) a watchdog in the process solving each mutant \
+           also caps that mutant's whole check, escalation included, at \
+           $(docv).")
 
 let max_conflicts_arg =
   Arg.(
@@ -260,24 +265,24 @@ let cli_force_flag =
     & info [ "force" ]
         ~doc:"Allow starting a fresh campaign over an existing $(b,--checkpoint) journal.")
 
-(* Supervision knobs, shared by verify --all-mutants (in-process domain
-   workers) and campaign --workers (worker processes): both paths run
-   the same restart policy. *)
+(* Supervision knobs, shared by verify --all-mutants and campaign: both
+   run their cells on Dist.run under this restart policy. *)
 let policy_term =
-  let d = Par.Supervise.default_policy in
+  let d = Dist.default_policy in
   let max_restarts_arg =
     Arg.(
       value
-      & opt int d.Par.Supervise.max_restarts
+      & opt int d.Dist.max_restarts
       & info [ "max-restarts" ] ~docv:"N"
           ~doc:
-            "Restart a crashed worker at most $(docv) times before degrading it \
-             to a typed give-up.")
+            "Restart a crashed worker process (or retry a crashed in-process \
+             solve) at most $(docv) times before giving up on it; its cells \
+             degrade to $(b,unknown) and are re-attempted on $(b,--resume).")
   in
   let backoff_arg =
     Arg.(
       value
-      & opt float d.Par.Supervise.backoff_s
+      & opt float d.Dist.backoff_s
       & info [ "backoff" ] ~docv:"SEC"
           ~doc:
             "Base delay before a worker restart; doubles per consecutive restart \
@@ -298,22 +303,29 @@ let policy_term =
       exit 2
     end;
     {
-      Par.Supervise.max_restarts;
+      Dist.max_restarts;
       backoff_s;
-      backoff_cap_s = Float.max backoff_s d.Par.Supervise.backoff_cap_s;
+      backoff_cap_s = Float.max backoff_s d.Dist.backoff_cap_s;
       retry_oom = not no_retry_oom;
     }
   in
   Term.(const combine $ max_restarts_arg $ backoff_arg $ no_retry_oom_arg)
 
+(* The stderr summary of a --checkpoint journal, printed when the run ends. *)
+let journal_summary path (s : Persist.Campaign.stats) =
+  Printf.eprintf
+    "gqed: campaign journal %s: %d record(s) loaded (%d undecided), %d check(s) \
+     skipped, %d appended%s\n\
+     %!"
+    path s.Persist.Campaign.c_loaded s.Persist.Campaign.c_undecided_loaded
+    s.Persist.Campaign.c_hits s.Persist.Campaign.c_appended
+    (if s.Persist.Campaign.c_write_errors > 0 then
+       Printf.sprintf " (%d append(s) LOST to I/O errors)" s.Persist.Campaign.c_write_errors
+     else "")
+
 let start_campaign ~checkpoint ~resume ~force =
   match checkpoint with
-  | None ->
-      if resume then begin
-        prerr_endline "gqed: --resume requires --checkpoint FILE";
-        exit 2
-      end;
-      None
+  | None -> None
   | Some path -> (
       match Persist.Campaign.start ~resume ~force path with
       | Error msg ->
@@ -323,17 +335,7 @@ let start_campaign ~checkpoint ~resume ~force =
           (* Every verdict path funnels through Stdlib.exit, so the summary
              and the final fsync/close always happen. *)
           at_exit (fun () ->
-              let s = Persist.Campaign.stats c in
-              Printf.eprintf
-                "gqed: campaign journal %s: %d record(s) loaded (%d undecided), %d \
-                 check(s) skipped, %d appended%s\n\
-                 %!"
-                path s.Persist.Campaign.c_loaded s.Persist.Campaign.c_undecided_loaded
-                s.Persist.Campaign.c_hits s.Persist.Campaign.c_appended
-                (if s.Persist.Campaign.c_write_errors > 0 then
-                   Printf.sprintf " (%d append(s) LOST to I/O errors)"
-                     s.Persist.Campaign.c_write_errors
-                 else "");
+              journal_summary path (Persist.Campaign.stats c);
               Persist.Campaign.close c);
           Some c)
 
@@ -344,35 +346,226 @@ let portfolio_config ~portfolio ~no_share ~deterministic =
       (Sat.Portfolio.config ~workers:portfolio ~share:(not no_share)
          ~deterministic ())
 
-let limits_of ?cancel ?portfolio ~timeout ~max_conflicts () =
-  match (timeout, max_conflicts, cancel, portfolio) with
-  | None, None, None, None -> Bmc.no_limits
-  | _ ->
-      Bmc.limits
-        ~budget:(Sat.Solver.budget ?conflicts:max_conflicts ?seconds:timeout ())
-        ?cancel ?portfolio ()
+(* Everything a check's verdict and governance depend on. A matrix run
+   hands it to its worker processes as [Dist.run]'s [arg], so it is plain
+   data, marshalled and hex-encoded: it travels in an environment
+   variable, which cannot hold NUL bytes. *)
+type solve_config = {
+  technique : Checks.technique;
+  bound_override : int option;
+  names : string list;  (** registry designs of the matrix; [] = all *)
+  simplify : Bmc.simplify_config;
+  mono : bool;
+  timeout : float option;
+  max_conflicts : int option;
+  escalate : bool;
+  portfolio : Sat.Portfolio.config option;
+}
 
-(* Wrap any check in the escalation policy; with unbounded limits the first
-   attempt decides and this is exactly the plain call. [racing] races the
-   ladder's rungs concurrently ([jobs] wide) instead of climbing them. *)
-let with_escalation ~escalate ?(racing = false) ?jobs ~limits ~simplify ~mono run1 =
-  if not escalate then run1 ~simplify ~mono ~limits
-  else begin
-    let unknown_of (r : Checks.report) =
-      match r.Checks.verdict with
-      | Checks.Unknown u -> Some (Sat.Solver.reason_to_string u.Checks.u_reason)
-      | Checks.Pass _ | Checks.Fail _ -> None
-    in
-    let escalate_fn =
-      if racing then Bmc.Escalate.run_racing ?jobs else Bmc.Escalate.run
-    in
-    let report, attempts =
-      escalate_fn ~limits ~simplify ~mono ~unknown_of (fun cfg ->
-          run1 ~simplify:cfg.Bmc.Escalate.ec_simplify ~mono:cfg.Bmc.Escalate.ec_mono
-            ~limits:cfg.Bmc.Escalate.ec_limits)
-    in
-    { report with Checks.attempts }
-  end
+let encode_config (c : solve_config) =
+  let s = Marshal.to_string c [] in
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let decode_config arg : solve_config =
+  Marshal.from_string
+    (String.init (String.length arg / 2) (fun i ->
+         Char.chr (int_of_string ("0x" ^ String.sub arg (2 * i) 2))))
+    0
+
+(* One check under the configured budgets and escalation. With finite
+   budgets and a portfolio, the escalation ladder's rungs race
+   portfolio-wide instead of climbing; with unbounded budgets the first
+   attempt decides and the per-query portfolio does the work. *)
+let check ?cancel (c : solve_config) design iface ~bound =
+  let budget =
+    match (c.timeout, c.max_conflicts) with
+    | None, None -> None
+    | seconds, conflicts -> Some (Sat.Solver.budget ?conflicts ?seconds ())
+  in
+  let limits =
+    match (budget, cancel, c.portfolio) with
+    | None, None, None -> Bmc.no_limits
+    | _ -> Bmc.limits ?budget ?cancel ?portfolio:c.portfolio ()
+  in
+  let simplify = c.simplify and mono = c.mono in
+  if not c.escalate then Checks.run ~simplify ~mono ~limits c.technique design iface ~bound
+  else
+    let jobs = match c.portfolio with Some p -> p.Sat.Portfolio.p_workers | None -> 1 in
+    Checks.run_escalating ~racing:(jobs > 1 && budget <> None) ~jobs ~simplify ~mono
+      ~limits c.technique design iface ~bound
+
+(* A matrix cell's check. Under --timeout a watchdog cancels the whole
+   cell at the deadline, escalation included, in whichever process
+   solves it; without it the escalation ladder could run to 64x the
+   per-query budget. *)
+let check_cell (c : solve_config) design iface ~bound =
+  match c.timeout with
+  | None -> check c design iface ~bound
+  | Some deadline -> (
+      match
+        Par.map_governed ~jobs:1 ~deadline
+          (fun cancel () -> check ~cancel c design iface ~bound)
+          [ () ]
+      with
+      | [ (Ok report, _) ] -> report
+      | [ (Error e, _) ] -> raise e
+      | _ -> assert false)
+
+(* ---- matrix runs: verify --all-mutants and campaign ---- *)
+
+(* One task per cell: the design it belongs to, the mutation (None for
+   the unmutated design), its Dist cell, and what the solver needs to
+   re-run it. Deterministic from the config's technique, bound override
+   and design names, so a worker process rebuilds exactly this list. *)
+type task = {
+  t_design : string;
+  t_mutant : string option;
+  t_cell : Dist.cell;
+  t_rtl : Rtl.design;
+  t_iface : Qed.Iface.t;
+  t_bound : int;
+}
+
+let campaign_tasks (c : solve_config) =
+  let entries =
+    match c.names with
+    | [] -> Registry.all
+    | names ->
+        List.map
+          (fun n -> match find_design n with Ok e -> e | Error msg -> failwith msg)
+          names
+  in
+  List.concat_map
+    (fun e ->
+      let bound = Option.value c.bound_override ~default:e.Entry.rec_bound in
+      let task t_mutant d =
+        {
+          t_design = e.Entry.name;
+          t_mutant;
+          t_cell =
+            {
+              Dist.cell_key = Checks.campaign_key c.technique d e.Entry.iface ~bound;
+              cell_hint = Checks.campaign_hint d ~bound;
+            };
+          t_rtl = d;
+          t_iface = e.Entry.iface;
+          t_bound = bound;
+        }
+      in
+      task None e.Entry.design
+      :: List.map
+           (fun (m, d) -> task (Some m.Mutation.id) d)
+           (Mutation.mutants e.Entry.design))
+    entries
+
+(* Worker processes rebuild the config and the key -> task table from
+   [arg] alone. *)
+let campaign_tables : (string, solve_config * (string, task) Hashtbl.t) Hashtbl.t =
+  Hashtbl.create 4
+
+let campaign_solver ~arg key =
+  let config, table =
+    match Hashtbl.find_opt campaign_tables arg with
+    | Some ct -> ct
+    | None ->
+        let config = decode_config arg in
+        let t = Hashtbl.create 64 in
+        List.iter
+          (fun task -> Hashtbl.replace t task.t_cell.Dist.cell_key task)
+          (campaign_tasks config);
+        Hashtbl.add campaign_tables arg (config, t);
+        (config, t)
+  in
+  match Hashtbl.find_opt table key with
+  | None -> failwith ("campaign worker: unknown cell key " ^ key)
+  | Some t ->
+      let r = check_cell config t.t_rtl t.t_iface ~bound:t.t_bound in
+      (Checks.report_decided r, Checks.encode_report r)
+
+let () = Dist.register "campaign" campaign_solver
+
+(* Solve [tasks] on Dist.run: [workers] processes, or in-process at 1.
+   Without a [checkpoint] the run journals to a private temp file, not
+   fsynced, removed with its worker shards before returning. *)
+let run_matrix ~config ~workers ?batch ~policy ?(sync = true) ~checkpoint ~resume ~force
+    tasks =
+  let journal, sync, force, temp =
+    match checkpoint with
+    | Some path -> (path, sync, force, false)
+    | None -> (Filename.temp_file "gqed-matrix" ".jrnl", false, true, true)
+  in
+  let cleanup () =
+    if temp then
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        (journal :: List.init workers (Dist.worker_journal journal))
+  in
+  match
+    Fun.protect ~finally:cleanup (fun () ->
+        Dist.run ~workers ?batch ~policy ~sync ~arg:(encode_config config) ~resume
+          ~force ~journal ~solver:"campaign"
+          (List.map (fun t -> t.t_cell) tasks))
+  with
+  | Error msg ->
+      prerr_endline ("gqed: " ^ msg);
+      exit 2
+  | Ok (rows, stats) ->
+      if not temp then journal_summary journal stats.Dist.d_campaign;
+      (rows, stats)
+
+(* The one matrix printer: a row per task, then the campaign summary. A
+   mutant must be detected and an unmutated design must pass. Returns
+   the number of detected mutants, the number of undecided cells and the
+   exit code: 3 if any cell is undecided, else 1 on any escape or false
+   alarm, else 0. *)
+let print_matrix ~header ~label tasks (rows, stats) =
+  let by_key = Hashtbl.create 64 in
+  List.iter (fun (r : Dist.row) -> Hashtbl.replace by_key r.Dist.r_key r) rows;
+  Printf.printf "%-40s %-18s %9s\n" header "verdict" "time";
+  let detected = ref 0 and undecided = ref 0 and anomalies = ref 0 in
+  List.iter
+    (fun t ->
+      let r = Hashtbl.find by_key t.t_cell.Dist.cell_key in
+      let report =
+        if r.Dist.r_decided then Checks.decode_report r.Dist.r_payload else None
+      in
+      let verdict =
+        match (Option.map (fun r -> r.Checks.verdict) report, t.t_mutant) with
+        | Some (Checks.Fail _), Some _ ->
+            incr detected;
+            "detected"
+        | Some (Checks.Pass _), None -> "pass"
+        | Some (Checks.Fail _), None ->
+            incr anomalies;
+            "FAIL"
+        | Some (Checks.Pass _), Some _ ->
+            incr anomalies;
+            "ESCAPE"
+        | (Some (Checks.Unknown _) | None), _ ->
+            incr undecided;
+            "unknown"
+      in
+      Printf.printf "%-40s %-18s %8.2fs%s\n" (label t) verdict r.Dist.r_seconds
+        (if r.Dist.r_warm then "  (journal)" else ""))
+    tasks;
+  Printf.printf "campaign: %d cell(s), %d from journal, %d dispatched across %d worker(s)\n"
+    stats.Dist.d_cells stats.Dist.d_skipped stats.Dist.d_dispatched stats.Dist.d_workers;
+  if
+    stats.Dist.d_restarts + stats.Dist.d_gave_up + stats.Dist.d_degraded
+    + stats.Dist.d_stale_unknowns
+    > 0
+  then
+    Printf.printf
+      "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded, %d stale \
+       unknown(s) dropped\n"
+      stats.Dist.d_restarts stats.Dist.d_gave_up stats.Dist.d_degraded
+      stats.Dist.d_stale_unknowns;
+  let cs = stats.Dist.d_campaign in
+  if cs.Persist.Campaign.c_compactions > 0 then
+    Printf.printf "journal: compacted, %d stale record(s) folded away\n"
+      cs.Persist.Campaign.c_compacted_away;
+  (!detected, !undecided, if !undecided > 0 then 3 else if !anomalies > 0 then 1 else 0)
 
 let waveform_flag =
   Arg.(value & flag & info [ "waveform" ] ~doc:"Print the full counterexample waveform.")
@@ -475,8 +668,8 @@ let verify_cmd =
       prerr_endline "gqed: --portfolio must be a positive integer";
       exit 2
     end;
-    (* Never oversubscribe: the product of the outer fan-out and the
-       per-query portfolio is capped at the machine's domain count. Only
+    (* Never oversubscribe: the product of the worker processes and the
+       per-query portfolio is capped at the machine's core count. Only
        --all-mutants fans out; a single check is one outer task. *)
     let portfolio =
       let outer = if all_mutants then jobs else 1 in
@@ -489,52 +682,54 @@ let verify_cmd =
           outer portfolio (Par.default_jobs ()) clamped;
       clamped
     in
+    if resume && checkpoint = None then begin
+      prerr_endline "gqed: --resume requires --checkpoint FILE";
+      exit 2
+    end;
     let e = or_die (find_design name) in
-    let bound = Option.value bound ~default:e.Entry.rec_bound in
-    let escalate = not no_escalate in
-    let pconfig = portfolio_config ~portfolio ~no_share ~deterministic in
-    (* With finite budgets the escalation ladder itself becomes the
-       parallelism: rungs race portfolio-wide (and drop the nested
-       per-query portfolio). With unbounded budgets the first attempt
-       decides, so the per-query clause-sharing portfolio does the work. *)
-    let racing = portfolio > 1 && (timeout <> None || max_conflicts <> None) in
-    let campaign = start_campaign ~checkpoint ~resume ~force in
-    (* SA and stability have no Checks.technique id, so --checkpoint runs
-       them fresh each time; everything else journals under the canonical
-       campaign key. *)
-    let campaign_key_of technique design =
-      let tech =
-        match technique with
-        | `Gqed -> Some Checks.Gqed
-        | `Aqed -> Some Checks.Aqed
-        | `Gqed_out -> Some Checks.Gqed_output_only
-        | `Flow -> Some Checks.Gqed_flow
-        | `Sa | `Stability -> None
-      in
-      Option.map (fun t -> Checks.campaign_key t design e.Entry.iface ~bound) tech
+    let config =
+      {
+        technique;
+        bound_override = bound;
+        names = [ name ];
+        simplify;
+        mono;
+        timeout;
+        max_conflicts;
+        escalate = not no_escalate;
+        portfolio = portfolio_config ~portfolio ~no_share ~deterministic;
+      }
     in
-    let check ?cancel technique design =
-      let limits = limits_of ?cancel ?portfolio:pconfig ~timeout ~max_conflicts () in
-      let run1 ~simplify ~mono ~limits =
-        match technique with
-        | `Gqed -> Checks.gqed ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Flow -> Checks.flow ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Aqed -> Checks.aqed_fc ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Gqed_out ->
-            Checks.gqed_output_only ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Sa -> Checks.sa_check ~simplify ~mono ~limits design e.Entry.iface ~bound
-        | `Stability ->
-            Checks.stability_check ~simplify ~mono ~limits design e.Entry.iface ~bound
+    if all_mutants then begin
+      if mutant <> None then begin
+        prerr_endline "gqed: --mutant and --all-mutants are mutually exclusive";
+        exit 2
+      end;
+      (* The same cells, solver and supervision as gqed campaign, minus the
+         unmutated design. *)
+      let tasks = List.filter (fun t -> t.t_mutant <> None) (campaign_tasks config) in
+      let detected, unknown, code =
+        run_matrix ~config ~workers:jobs ~policy ~checkpoint ~resume ~force tasks
+        |> print_matrix ~header:"mutant" ~label:(fun t -> Option.get t.t_mutant) tasks
       in
-      let solve () =
-        with_escalation ~escalate ~racing ~jobs:portfolio ~limits ~simplify ~mono run1
-      in
-      match (campaign, campaign_key_of technique design) with
-      | None, _ | _, None -> solve ()
-      | Some c, Some key -> (
-          match
-            Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-          with
+      Printf.printf "detected %d/%d mutants (%d unknown)\n" detected (List.length tasks)
+        unknown;
+      exit code
+    end;
+    let bound = Option.value bound ~default:e.Entry.rec_bound in
+    let campaign = start_campaign ~checkpoint ~resume ~force in
+    let design, m = or_die (resolve_mutant e mutant) in
+    (match m with
+    | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
+    | None -> ());
+    let t0 = Unix.gettimeofday () in
+    let report =
+      let solve () = check config design e.Entry.iface ~bound in
+      match campaign with
+      | None -> solve ()
+      | Some c -> (
+          let key = Checks.campaign_key technique design e.Entry.iface ~bound in
+          match Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report with
           | Some report -> report
           | None ->
               let report = solve () in
@@ -542,68 +737,6 @@ let verify_cmd =
                 ~payload:(Checks.encode_report report);
               report)
     in
-    if all_mutants then begin
-      (match mutant with
-      | Some _ ->
-          prerr_endline "gqed: --mutant and --all-mutants are mutually exclusive";
-          exit 2
-      | None -> ());
-      let muts =
-        List.filter_map
-          (fun m ->
-            match Mutation.apply e.Entry.design m with
-            | Some design -> Some (m, design)
-            | None -> None)
-          (Mutation.enumerate e.Entry.design)
-      in
-      (* Each task builds its own engine inside the check, so mutants fan out
-         across domains with no shared solver state. Under --timeout a
-         watchdog cancels any task past its allowance, so one hung mutant
-         never blocks the whole table — it just shows up as "unknown". The
-         supervisor restarts crashed/OOM'd workers with capped backoff and
-         degrades exhausted ones to a typed give-up, so one bad task never
-         takes the campaign down. *)
-      let results =
-        Par.Supervise.supervise ~jobs ?deadline:timeout ~policy
-          (fun token (_, design) -> check ~cancel:token technique design)
-          muts
-      in
-      Printf.printf "%-40s %-18s %9s\n" "mutant" "verdict" "time";
-      let detected = ref 0 and unknown = ref 0 and restarts = ref 0 in
-      List.iter2
-        (fun (m, _) o ->
-          restarts := !restarts + o.Par.Supervise.s_attempts - 1;
-          let cell =
-            match o.Par.Supervise.s_result with
-            | Ok report -> (
-                match report.Checks.verdict with
-                | Checks.Fail _ ->
-                    incr detected;
-                    "detected"
-                | Checks.Pass _ -> "ESCAPE"
-                | Checks.Unknown _ ->
-                    incr unknown;
-                    "unknown")
-            | Error cls ->
-                incr unknown;
-                "gave-up:" ^ Par.Supervise.class_to_string cls
-          in
-          Printf.printf "%-40s %-18s %8.2fs\n" m.Mutation.id cell
-            o.Par.Supervise.s_seconds)
-        muts results;
-      Printf.printf "detected %d/%d mutants (%d unknown)\n" !detected
-        (List.length muts) !unknown;
-      if !restarts > 0 then
-        Printf.printf "supervisor: %d worker restart(s) during the campaign\n" !restarts;
-      exit
-        (if !detected = List.length muts then 0 else if !unknown > 0 then 3 else 1)
-    end;
-    let design, m = or_die (resolve_mutant e mutant) in
-    (match m with
-    | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
-    | None -> ());
-    let t0 = Unix.gettimeofday () in
-    let report = check technique design in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
   in
@@ -625,110 +758,12 @@ let verify_cmd =
    lib/dist/DESIGN.md). Workers are this executable re-exec'd, so the
    solver rebuilds its key -> task table from the [arg] string alone. *)
 
-let campaign_tech_names =
-  [ ("gqed", Checks.Gqed); ("flow", Checks.Gqed_flow); ("aqed", Checks.Aqed);
-    ("gqed-out", Checks.Gqed_output_only) ]
-
-let campaign_tech_to_string t =
-  fst (List.find (fun (_, t') -> t' = t) campaign_tech_names)
-
-(* One task per cell: display label, campaign cell, and what the solver
-   needs to re-run it. Deterministic from (technique, bound override,
-   design names) — the worker rebuilds exactly this list from the arg. *)
-let campaign_tasks ~technique ~bound_override names =
-  let entries =
-    match names with
-    | [] -> Registry.all
-    | names ->
-        List.map
-          (fun n ->
-            match find_design n with Ok e -> e | Error msg -> failwith msg)
-          names
-  in
-  List.concat_map
-    (fun e ->
-      let bound = Option.value bound_override ~default:e.Entry.rec_bound in
-      let tasks =
-        (e.Entry.name, e.Entry.design)
-        :: List.map
-             (fun (m, d) -> (e.Entry.name ^ ":" ^ m.Mutation.id, d))
-             (Mutation.mutants e.Entry.design)
-      in
-      List.map
-        (fun (label, d) ->
-          ( label,
-            {
-              Dist.cell_key = Checks.campaign_key technique d e.Entry.iface ~bound;
-              cell_hint = Checks.campaign_hint d ~bound;
-            },
-            d,
-            e.Entry.iface,
-            bound ))
-        tasks)
-    entries
-
-(* arg = "<tech>|<bound or ->|<comma-separated names or empty for all>" *)
-let campaign_arg_encode ~technique ~bound_override names =
-  Printf.sprintf "%s|%s|%s"
-    (campaign_tech_to_string technique)
-    (match bound_override with None -> "-" | Some b -> string_of_int b)
-    (String.concat "," names)
-
-let campaign_arg_decode arg =
-  match String.split_on_char '|' arg with
-  | [ tech; bound; names ] ->
-      let technique =
-        match List.assoc_opt tech campaign_tech_names with
-        | Some t -> t
-        | None -> failwith ("bad campaign technique " ^ tech)
-      in
-      let bound_override = if bound = "-" then None else Some (int_of_string bound) in
-      let names = if names = "" then [] else String.split_on_char ',' names in
-      (technique, bound_override, names)
-  | _ -> failwith ("bad campaign arg " ^ arg)
-
-let campaign_tables : (string, (string, Rtl.design * Qed.Iface.t * int) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 4
-
-let campaign_solver ~arg key =
-  let table =
-    match Hashtbl.find_opt campaign_tables arg with
-    | Some t -> t
-    | None ->
-        let technique, bound_override, names = campaign_arg_decode arg in
-        let t = Hashtbl.create 64 in
-        List.iter
-          (fun (_label, cell, d, iface, bound) ->
-            Hashtbl.replace t cell.Dist.cell_key (d, iface, bound))
-          (campaign_tasks ~technique ~bound_override names);
-        Hashtbl.add campaign_tables arg t;
-        t
-  in
-  let technique, _, _ = campaign_arg_decode arg in
-  match Hashtbl.find_opt table key with
-  | None -> failwith ("campaign worker: unknown cell key " ^ key)
-  | Some (d, iface, bound) ->
-      let r = Checks.run technique d iface ~bound in
-      (Checks.report_decided r, Checks.encode_report r)
-
-let () = Dist.register "campaign" campaign_solver
-
 let campaign_cmd =
   let designs_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"DESIGN"
           ~doc:"Designs to campaign over (default: every registry design).")
-  in
-  let technique_arg =
-    Arg.(
-      value
-      & opt (enum campaign_tech_names) Checks.Gqed
-      & info [ "technique" ] ~docv:"TECH"
-          ~doc:
-            "One of $(b,gqed) (default), $(b,flow), $(b,aqed), $(b,gqed-out); \
-             techniques without a campaign identity (sa, stability) cannot be \
-             journaled.")
   in
   let workers_arg =
     Arg.(
@@ -775,87 +810,34 @@ let campaign_cmd =
           prerr_endline "gqed: campaign requires --checkpoint FILE (the shared journal)";
           exit 2
     in
+    let config =
+      {
+        technique;
+        bound_override = bound;
+        names;
+        simplify = Bmc.default_simplify;
+        mono = false;
+        timeout = None;
+        max_conflicts = None;
+        escalate = true;
+        portfolio = None;
+      }
+    in
     let tasks =
-      try campaign_tasks ~technique ~bound_override:bound names
+      try campaign_tasks config
       with Failure msg ->
         prerr_endline ("gqed: " ^ msg);
         exit 2
     in
-    let label_of = Hashtbl.create 64 in
-    List.iter
-      (fun (label, cell, _, _, _) ->
-        if not (Hashtbl.mem label_of cell.Dist.cell_key) then
-          Hashtbl.add label_of cell.Dist.cell_key label)
-      tasks;
-    let cells = List.map (fun (_, cell, _, _, _) -> cell) tasks in
-    let arg = campaign_arg_encode ~technique ~bound_override:bound names in
-    match
-      Dist.run ~workers ~batch ~policy ~sync:(not no_sync) ~arg ~resume ~force
-        ~journal:checkpoint ~solver:"campaign" cells
-    with
-    | Error msg ->
-        prerr_endline ("gqed: " ^ msg);
-        exit 2
-    | Ok (rows, stats) ->
-        Printf.printf "%-40s %-18s %9s %s\n" "cell" "verdict" "time" "";
-        let undecided = ref 0 and anomalies = ref 0 in
-        List.iter
-          (fun (r : Dist.row) ->
-            let label =
-              Option.value ~default:r.Dist.r_key
-                (Hashtbl.find_opt label_of r.Dist.r_key)
-            in
-            (* A correct design must pass; a mutant must be detected. *)
-            let is_mutant = String.contains label ':' in
-            let cellv =
-              if not r.Dist.r_decided then begin
-                incr undecided;
-                "unknown"
-              end
-              else
-                match Checks.decode_report r.Dist.r_payload with
-                | None ->
-                    incr undecided;
-                    "undecodable"
-                | Some report -> (
-                    match report.Checks.verdict with
-                    | Checks.Fail _ ->
-                        if is_mutant then "detected"
-                        else begin
-                          incr anomalies;
-                          "FAIL"
-                        end
-                    | Checks.Pass _ ->
-                        if is_mutant then begin
-                          incr anomalies;
-                          "ESCAPE"
-                        end
-                        else "pass"
-                    | Checks.Unknown _ ->
-                        incr undecided;
-                        "unknown")
-            in
-            Printf.printf "%-40s %-18s %8.2fs%s\n" label cellv r.Dist.r_seconds
-              (if r.Dist.r_warm then "  (journal)" else ""))
-          rows;
-        Printf.printf
-          "campaign: %d cell(s), %d from journal, %d dispatched across %d worker(s)\n"
-          stats.Dist.d_cells stats.Dist.d_skipped stats.Dist.d_dispatched
-          stats.Dist.d_workers;
-        if
-          stats.Dist.d_restarts + stats.Dist.d_gave_up + stats.Dist.d_degraded
-          + stats.Dist.d_stale_unknowns > 0
-        then
-          Printf.printf
-            "supervisor: %d restart(s), %d give-up(s), %d cell(s) solved degraded, \
-             %d stale unknown(s) dropped\n"
-            stats.Dist.d_restarts stats.Dist.d_gave_up stats.Dist.d_degraded
-            stats.Dist.d_stale_unknowns;
-        let cs = stats.Dist.d_campaign in
-        if cs.Persist.Campaign.c_compactions > 0 then
-          Printf.printf "journal: compacted, %d stale record(s) folded away\n"
-            cs.Persist.Campaign.c_compacted_away;
-        exit (if !undecided > 0 then 3 else if !anomalies > 0 then 1 else 0)
+    let label t =
+      match t.t_mutant with None -> t.t_design | Some id -> t.t_design ^ ":" ^ id
+    in
+    let _, _, code =
+      run_matrix ~config ~workers ~batch ~policy ~sync:(not no_sync)
+        ~checkpoint:(Some checkpoint) ~resume ~force tasks
+      |> print_matrix ~header:"cell" ~label tasks
+    in
+    exit code
   in
   Cmd.v
     (Cmd.info "campaign"

@@ -633,13 +633,15 @@ let flow ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_li
 
 (* ------------------------------------------------------------------ *)
 
-type technique = Aqed | Gqed | Gqed_output_only | Gqed_flow
+type technique = Aqed | Gqed | Gqed_output_only | Gqed_flow | Sa | Stability
 
 let technique_to_string = function
   | Aqed -> "A-QED"
   | Gqed -> "G-QED"
   | Gqed_output_only -> "G-QED(out-only)"
   | Gqed_flow -> "G-QED(flow)"
+  | Sa -> "SA"
+  | Stability -> "Stability"
 
 let verdict_arg = function
   | Pass _ -> "pass"
@@ -676,6 +678,8 @@ let run ?(simplify = Bmc.default_simplify) ?(mono = false) ?(limits = Bmc.no_lim
     | Gqed -> gqed ~simplify ~mono ~limits design iface ~bound
     | Gqed_output_only -> gqed_output_only ~simplify ~mono ~limits design iface ~bound
     | Gqed_flow -> flow ~simplify ~mono ~limits design iface ~bound
+    | Sa -> sa_check ~simplify ~mono ~limits design iface ~bound
+    | Stability -> stability_check ~simplify ~mono ~limits design iface ~bound
   in
   if not (Obs.on ()) then go ()
   else begin

@@ -158,9 +158,12 @@ val flow :
     {!sa_check}, then {!stability_check}, then {!gqed}; the first failing
     — or first undecided — stage is reported. *)
 
-(** {2 Technique selection (used by the experiment harness)} *)
+(** {2 Technique selection} *)
 
-type technique = Aqed | Gqed | Gqed_output_only | Gqed_flow
+type technique = Aqed | Gqed | Gqed_output_only | Gqed_flow | Sa | Stability
+(** Every technique has a {!campaign_key}, so any single check or matrix
+    cell can be journaled. [Sa] and [Stability] run {!sa_check} and
+    {!stability_check} alone. *)
 
 val technique_to_string : technique -> string
 

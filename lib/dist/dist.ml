@@ -34,6 +34,49 @@ type merge_stats = {
 
 type kill = { k_worker : int; k_after : int; k_mode : [ `Restart | `Abort ] }
 
+(* ------------------------------------------------------------------ *)
+(* Supervision policy                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type failure_class = Crash of string | Oom
+
+type restart_policy = {
+  max_restarts : int;
+  backoff_s : float;
+  backoff_cap_s : float;
+  retry_oom : bool;
+}
+
+let default_policy =
+  { max_restarts = 2; backoff_s = 0.05; backoff_cap_s = 1.0; retry_oom = true }
+
+(* Capped exponential backoff before retry round [round] (1-based);
+   round 0 — the first attempt — waits nothing. *)
+let backoff_delay policy ~round =
+  if round <= 0 then 0.0
+  else Float.min policy.backoff_cap_s (policy.backoff_s *. (2.0 ** float_of_int (round - 1)))
+
+(* Crashes are transient (a sibling freeing memory, a flaky external
+   resource); OOM only when the policy says so — under a hard memory
+   ceiling a retry would just die again. *)
+let retryable policy = function Crash _ -> true | Oom -> policy.retry_oom
+
+let class_to_string = function Crash _ -> "crash" | Oom -> "oom"
+
+(* Worker processes report OOM with this exit code so the coordinator
+   can classify it without a shared address space. Picked from the BSD
+   sysexits range to stay clear of shell/signal codes. *)
+let oom_exit_code = 77
+
+(* Signals — SIGKILL from the OOM killer or a test harness, SIGSEGV —
+   and nonzero exits are crashes unless the worker used the OOM
+   convention above. *)
+let classify_exit = function
+  | Unix.WEXITED n when n = oom_exit_code -> Oom
+  | Unix.WEXITED n -> Crash (Printf.sprintf "exit %d" n)
+  | Unix.WSIGNALED s -> Crash (Printf.sprintf "signal %d" s)
+  | Unix.WSTOPPED s -> Crash (Printf.sprintf "stopped %d" s)
+
 exception Aborted of string
 
 let m_dispatched = lazy (Obs.Metrics.counter "dist.dispatched")
@@ -188,8 +231,8 @@ let merge ?delete ~into journal = apply_scan ?delete ~into (scan_workers journal
 (* Runs in the worker process. Protocol: read "CELL <key>" lines, solve,
    append to the per-worker journal (durable before the ack), answer
    "ACK <d|u> <seconds> <key>"; "DONE" or EOF (coordinator died) ends.
-   OOM exits with the [Par.Supervise.oom_exit_code] convention so the
-   coordinator can classify it; other exceptions exit 70. *)
+   OOM exits with [oom_exit_code] so the coordinator can classify it;
+   other exceptions exit 70. *)
 let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
   let jpath = worker_journal journal idx in
   match Persist.Journal.open_append ~sync jpath with
@@ -210,7 +253,7 @@ let worker_main ~journal ~sync ~solve ~idx ~rfd ~wfd =
             let key = String.sub line 5 (String.length line - 5) in
             let t0 = Unix.gettimeofday () in
             match solve key with
-            | exception Out_of_memory -> finish Par.Supervise.oom_exit_code
+            | exception Out_of_memory -> finish oom_exit_code
             | exception e ->
                 prerr_endline
                   (Printf.sprintf "gqed dist worker %d: %s" idx (Printexc.to_string e));
@@ -320,28 +363,31 @@ let solve_inline ~policy ~campaign ~solve ~restarts ~gave_up key =
   let t0 = Unix.gettimeofday () in
   let rec attempt n =
     match solve key with
-    | (decided, payload) -> Some (decided, payload)
+    | r -> r
     | exception Sys.Break -> raise Sys.Break
     | exception e ->
-        let retry =
-          match e with
-          | Out_of_memory -> policy.Par.Supervise.retry_oom
-          | _ -> true
+        let cls =
+          match e with Out_of_memory -> Oom | e -> Crash (Printexc.to_string e)
         in
-        if retry && n < policy.Par.Supervise.max_restarts then begin
+        let trace name =
+          Obs.Trace.instant name ~args:[ ("key", key); ("class", class_to_string cls) ]
+        in
+        if retryable policy cls && n < policy.max_restarts then begin
           incr restarts;
-          if Obs.on () then Obs.Metrics.incr (Lazy.force m_restarts);
-          Unix.sleepf (Par.Supervise.backoff_delay policy ~round:(n + 1));
+          if Obs.on () then begin
+            Obs.Metrics.incr (Lazy.force m_restarts);
+            trace "dist.restart"
+          end;
+          Unix.sleepf (backoff_delay policy ~round:(n + 1));
           attempt (n + 1)
         end
         else begin
           incr gave_up;
-          None
+          if Obs.on () then trace "dist.gave_up";
+          (false, "")
         end
   in
-  let decided, payload =
-    match attempt 0 with Some r -> r | None -> (false, "")
-  in
+  let decided, payload = attempt 0 in
   let seconds = Unix.gettimeofday () -. t0 in
   Persist.Campaign.record ~seconds campaign ~decided ~key ~payload;
   { r_key = key; r_decided = decided; r_payload = payload; r_seconds = seconds; r_warm = false }
@@ -420,13 +466,13 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
     | was, status ->
         let cls =
           match status with
-          | Unix.WEXITED 0 -> Par.Supervise.Crash "exit 0 with work outstanding"
-          | s -> Par.Supervise.classify_exit s
+          | Unix.WEXITED 0 -> Crash "exit 0 with work outstanding"
+          | s -> classify_exit s
         in
         requeue w.w_outstanding;
         w.w_outstanding <- [];
         w.w_state <- `Gone;
-        if Par.Supervise.retryable policy cls && w.w_restarts < policy.Par.Supervise.max_restarts
+        if retryable policy cls && w.w_restarts < policy.max_restarts
         then begin
           w.w_restarts <- w.w_restarts + 1;
           incr restarts;
@@ -436,10 +482,10 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
               ~args:
                 [
                   ("worker", string_of_int w.w_idx);
-                  ("class", Par.Supervise.class_to_string cls);
+                  ("class", class_to_string cls);
                 ]
           end;
-          Unix.sleepf (Par.Supervise.backoff_delay policy ~round:w.w_restarts);
+          Unix.sleepf (backoff_delay policy ~round:w.w_restarts);
           respawn w;
           feed w
         end
@@ -450,7 +496,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
               ~args:
                 [
                   ("worker", string_of_int w.w_idx);
-                  ("class", Par.Supervise.class_to_string cls);
+                  ("class", class_to_string cls);
                 ]
         end
   in
@@ -574,7 +620,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
   in
   List.length leftovers
 
-let run ?(workers = 2) ?(batch = 2) ?(policy = Par.Supervise.default_policy)
+let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
     ?(sync = true) ?(compact_min = 512) ?kill ?(arg = "") ~resume ~force ~journal
     ~solver cells =
   Obs.Trace.with_span "dist.run" (fun () ->

@@ -8,9 +8,10 @@
     small batches over a pipe protocol — no static chunking, so one hard
     mutant cannot straggle a whole shard — solve each cell, append the
     outcome to [<journal>.worker-<i>], and ack. Worker deaths are
-    classified with {!Par.Supervise.classify_exit} and restarted under
-    the same restart policy as in-process supervision; when every worker
-    is gone the coordinator degrades to solving the remainder itself.
+    classified with {!classify_exit} and restarted under a
+    {!restart_policy}, the same one that retries in-process solves; when
+    every worker is gone the coordinator degrades to solving the
+    remainder itself.
     On completion — and, crucially, on resume after killing any subset
     of workers — per-worker journals are merged into the main journal
     with decided-beats-undecided, last-write-wins semantics, so the
@@ -79,6 +80,49 @@ type kill = {
           kill-sweep tests and the fuzz oracle drive *)
 }
 
+(** {2 Supervision policy}
+
+    The one supervision loop in the repo: a failed solve — a crashed or
+    OOM-killed worker process, or an exception from an in-process solve —
+    is classified, retried with capped exponential backoff while the
+    policy allows, and otherwise degraded to an undecided row that a
+    resume re-attempts. One bad cell never aborts the campaign. *)
+
+type failure_class =
+  | Crash of string  (** exception text, nonzero exit or signal *)
+  | Oom  (** [Out_of_memory], or a worker's {!oom_exit_code} *)
+
+type restart_policy = {
+  max_restarts : int;  (** retries after the first attempt *)
+  backoff_s : float;  (** pause before the first retry *)
+  backoff_cap_s : float;  (** exponential backoff saturates here *)
+  retry_oom : bool;
+      (** whether [Oom] failures are retried; set false under a hard
+          memory ceiling, where a retry would just die again *)
+}
+
+val default_policy : restart_policy
+(** 2 restarts, 50 ms initial backoff, 1 s cap, OOM retried. *)
+
+val backoff_delay : restart_policy -> round:int -> float
+(** Capped exponential backoff before retry [round] (1-based);
+    [round <= 0] is 0. *)
+
+val retryable : restart_policy -> failure_class -> bool
+(** [Crash] always, [Oom] iff [retry_oom]. *)
+
+val oom_exit_code : int
+(** Exit code (77) by which a worker process reports [Out_of_memory], so
+    {!classify_exit} can tell OOM from a crash across a process
+    boundary. *)
+
+val classify_exit : Unix.process_status -> failure_class
+(** Classify a worker process's [waitpid] status: {!oom_exit_code} is
+    [Oom]; any other nonzero exit, signal, or stop is a [Crash]. Do not
+    call on [WEXITED 0]. *)
+
+(** {2 Campaigns} *)
+
 val register : string -> (arg:string -> string -> bool * string) -> unit
 (** [register name mk] names a solver. [mk ~arg key] solves one campaign
     cell, returning [(decided, payload)]; [arg] is the opaque
@@ -113,7 +157,7 @@ val merge : ?delete:bool -> into:Persist.Campaign.t -> string -> merge_stats
 val run :
   ?workers:int ->
   ?batch:int ->
-  ?policy:Par.Supervise.restart_policy ->
+  ?policy:restart_policy ->
   ?sync:bool ->
   ?compact_min:int ->
   ?kill:kill ->
@@ -131,7 +175,9 @@ val run :
     worker process}, and raising [Out_of_memory] there reports as an
     [Oom] worker death (never retried when [policy.retry_oom] is
     false), any other exception as a [Crash]. [workers <= 1] solves
-    in-process (same journal, same rows — the serial baseline).
+    in-process (same journal, same rows — the serial baseline), retrying
+    a raising solve under the same [policy] (default
+    {!default_policy}).
 
     [resume]/[force]/[journal] follow {!Persist.Campaign.start}, with
     [compact_min] forwarded to its auto-compaction gate; leftover

@@ -125,11 +125,6 @@ let run_tasks ~jobs tasks =
 let drop_bt results =
   Array.map (function Ok v -> Ok v | Error (e, _) -> Error e) results
 
-let map_result ?jobs f xs =
-  let tasks = Array.of_list (List.map (fun x () -> f x) xs) in
-  let results, _ = run_tasks ~jobs tasks in
-  Array.to_list (drop_bt results)
-
 let reraise_first results =
   Array.iter
     (function
@@ -155,147 +150,6 @@ let map_governed ?jobs ?deadline ?stop_when f xs =
   let results, times = run_tasks_governed ~jobs ?deadline ?stop_when tasks in
   let results = drop_bt results in
   List.init (Array.length results) (fun i -> (results.(i), times.(i)))
-
-(* Supervision over the governed pool: classify worker failures, restart
-   the transient classes with capped exponential backoff, and degrade the
-   rest to a typed failure instead of aborting the whole fan-out. *)
-module Supervise = struct
-  type failure_class = Crash of string | Oom | Deadline | Cancelled
-
-  type restart_policy = {
-    max_restarts : int;
-    backoff_s : float;
-    backoff_cap_s : float;
-    retry_oom : bool;
-  }
-
-  let default_policy =
-    { max_restarts = 2; backoff_s = 0.05; backoff_cap_s = 1.0; retry_oom = true }
-
-  (* Capped exponential backoff before retry round [round] (1-based);
-     round 0 — the first attempt — waits nothing. Shared with the
-     process-level supervisor in lib/dist. *)
-  let backoff_delay policy ~round =
-    if round <= 0 then 0.0
-    else Float.min policy.backoff_cap_s (policy.backoff_s *. (2.0 ** float_of_int (round - 1)))
-
-  type 'b outcome = {
-    s_result : ('b, failure_class) result;
-    s_attempts : int;
-    s_seconds : float;
-  }
-
-  let m_restarts = lazy (Obs.Metrics.counter "par.supervise.restarts")
-  let m_gave_up = lazy (Obs.Metrics.counter "par.supervise.gave_up")
-
-  let class_to_string = function
-    | Crash _ -> "crash"
-    | Oom -> "oom"
-    | Deadline -> "deadline"
-    | Cancelled -> "cancel"
-
-  (* A raised exception is the only thing to classify: a governed task that
-     merely ran out of budget returns an Unknown verdict normally. The
-     token tells deadline expiry apart from a genuine crash — the watchdog
-     is the only writer when [stop_when] is absent (supervise does not
-     expose it). *)
-  let classify ~deadline ~token_set e =
-    match e with
-    | Out_of_memory -> Oom
-    | _ when token_set && deadline <> None -> Deadline
-    | _ when token_set -> Cancelled
-    | e -> Crash (Printexc.to_string e)
-
-  (* Crashes are transient (a sibling freeing memory, a flaky external
-     resource); OOM only when the policy says so — under a hard memory
-     ceiling a retry would just die again; a deadline would just expire
-     again and a cancellation was asked for. *)
-  let retryable policy = function
-    | Crash _ -> true
-    | Oom -> policy.retry_oom
-    | Deadline | Cancelled -> false
-
-  (* Worker processes report OOM with this exit code so the coordinator
-     can classify it without a shared address space. Picked from the BSD
-     sysexits range to stay clear of shell/signal codes. *)
-  let oom_exit_code = 77
-
-  (* Classify the exit status of a supervised worker *process* (lib/dist).
-     Signals — SIGKILL from the OOM killer or a test harness, SIGSEGV —
-     and nonzero exits are crashes unless the worker used the OOM
-     convention above. *)
-  let classify_exit = function
-    | Unix.WEXITED n when n = oom_exit_code -> Oom
-    | Unix.WEXITED n -> Crash (Printf.sprintf "exit %d" n)
-    | Unix.WSIGNALED s -> Crash (Printf.sprintf "signal %d" s)
-    | Unix.WSTOPPED s -> Crash (Printf.sprintf "stopped %d" s)
-
-  let supervise ?jobs ?deadline ?(policy = default_policy) f xs =
-    let xs = Array.of_list xs in
-    let n = Array.length xs in
-    let out : ('b, failure_class) result option array = Array.make n None in
-    let attempts = Array.make n 0 in
-    let seconds = Array.make n 0.0 in
-    let pending = ref (List.init n Fun.id) in
-    let round = ref 0 in
-    while !pending <> [] do
-      if !round > 0 then Unix.sleepf (backoff_delay policy ~round:!round);
-      let idxs = Array.of_list !pending in
-      let tokens : Cancel.t option array = Array.make (Array.length idxs) None in
-      let tasks =
-        Array.mapi
-          (fun k i token ->
-            tokens.(k) <- Some token;
-            f token xs.(i))
-          idxs
-      in
-      let results, times = run_tasks_governed ~jobs ?deadline tasks in
-      let next = ref [] in
-      Array.iteri
-        (fun k i ->
-          attempts.(i) <- attempts.(i) + 1;
-          seconds.(i) <- seconds.(i) +. times.(k);
-          match results.(k) with
-          | Ok v -> out.(i) <- Some (Ok v)
-          | Error (Sys.Break, bt) -> Printexc.raise_with_backtrace Sys.Break bt
-          | Error (e, _bt) ->
-              let token_set =
-                match tokens.(k) with Some t -> Cancel.is_set t | None -> false
-              in
-              let cls = classify ~deadline ~token_set e in
-              if retryable policy cls && attempts.(i) <= policy.max_restarts then begin
-                next := i :: !next;
-                if Obs.on () then begin
-                  Obs.Metrics.incr (Lazy.force m_restarts);
-                  Obs.Trace.instant "par.supervise.restart"
-                    ~args:
-                      [
-                        ("task", string_of_int i);
-                        ("class", class_to_string cls);
-                        ("attempt", string_of_int attempts.(i));
-                      ]
-                end
-              end
-              else begin
-                out.(i) <- Some (Error cls);
-                if Obs.on () then begin
-                  Obs.Metrics.incr (Lazy.force m_gave_up);
-                  Obs.Trace.instant "par.supervise.gave_up"
-                    ~args:
-                      [ ("task", string_of_int i); ("class", class_to_string cls) ]
-                end
-              end)
-        idxs;
-      pending := List.rev !next;
-      incr round
-    done;
-    List.init n (fun i ->
-        {
-          s_result = (match out.(i) with Some r -> r | None -> assert false);
-          s_attempts = attempts.(i);
-          s_seconds = seconds.(i);
-        })
-end
 
 (* Oversubscription guard for nested parallelism (outer fan-out × inner
    portfolio). Keeps the outer degree — design/mutant fan-out dominates

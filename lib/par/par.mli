@@ -31,10 +31,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b * float) list
 (** Like {!map}, also returning each task's wall-clock seconds. *)
 
-val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Like {!map} but exceptions are captured per task: a failing task never
-    loses the other tasks' results. *)
-
 val map_governed :
   ?jobs:int ->
   ?deadline:float ->
@@ -58,75 +54,6 @@ val map_governed :
     order.
 
     Returns one [(outcome, wall_seconds)] pair per input. *)
-
-(** Supervision over {!map_governed}: classify worker failures, restart
-    the transient classes with capped exponential backoff, and degrade
-    exhausted tasks to a typed failure — one bad task never aborts the
-    campaign. *)
-module Supervise : sig
-  type failure_class =
-    | Crash of string  (** unexpected exception ([Printexc.to_string]) *)
-    | Oom  (** [Out_of_memory] — often transient under a fan-out *)
-    | Deadline  (** raised after the watchdog set the task's token *)
-    | Cancelled  (** token set without a deadline in force *)
-
-  type restart_policy = {
-    max_restarts : int;  (** retries after the first attempt *)
-    backoff_s : float;  (** pause before the first retry round *)
-    backoff_cap_s : float;  (** exponential backoff saturates here *)
-    retry_oom : bool;
-        (** whether [Oom] failures are retried; set false under a hard
-            memory ceiling, where a retry would just die again *)
-  }
-
-  val default_policy : restart_policy
-  (** 2 restarts, 50 ms initial backoff, 1 s cap, OOM retried. *)
-
-  val backoff_delay : restart_policy -> round:int -> float
-  (** Capped exponential backoff before retry round [round] (1-based);
-      [round <= 0] is 0. Exposed so the process-level supervisor
-      (lib/dist) paces restarts identically to the in-process one. *)
-
-  val retryable : restart_policy -> failure_class -> bool
-  (** Whether the policy re-runs this failure class: [Crash] always,
-      [Oom] iff [retry_oom], [Deadline]/[Cancelled] never. *)
-
-  val oom_exit_code : int
-  (** Exit code (77) by which a supervised worker {e process} reports
-      [Out_of_memory], so {!classify_exit} can tell OOM from a crash
-      across a process boundary. *)
-
-  val classify_exit : Unix.process_status -> failure_class
-  (** Classify a worker process's [waitpid] status: {!oom_exit_code} is
-      [Oom]; any other nonzero exit, signal, or stop is a [Crash]. Do not
-      call on [WEXITED 0]. *)
-
-  type 'b outcome = {
-    s_result : ('b, failure_class) result;
-    s_attempts : int;  (** runs of this task, including the first *)
-    s_seconds : float;  (** wall-clock summed across attempts *)
-  }
-
-  val class_to_string : failure_class -> string
-
-  val supervise :
-    ?jobs:int ->
-    ?deadline:float ->
-    ?policy:restart_policy ->
-    (Cancel.t -> 'a -> 'b) ->
-    'a list ->
-    'b outcome list
-  (** Like {!map_governed}, but raised exceptions are classified and the
-      transient classes ([Crash], [Oom]) are re-run — whole retry rounds
-      with capped exponential backoff between them — until they succeed
-      or exhaust [policy.max_restarts]; [Deadline]/[Cancelled] failures
-      are not retried (a deadline would just expire again — governed
-      tasks that run out of budget should return an [Unknown] result
-      rather than raise). [Sys.Break] is re-raised immediately: a ^C
-      aborts the campaign. Results come back in input order, one
-      {!outcome} per input. Restarts and give-ups are counted in the
-      [par.supervise.*] Obs metrics. *)
-end
 
 val clamp_inner : jobs:int -> inner:int -> int * bool
 (** [clamp_inner ~jobs ~inner] caps nested parallelism: the effective

@@ -28,7 +28,7 @@ let with_tmp tag f =
   Fun.protect ~finally:cleanup (fun () -> f path)
 
 let fast_policy =
-  { Par.Supervise.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
+  { Dist.max_restarts = 2; backoff_s = 0.001; backoff_cap_s = 0.002; retry_oom = true }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -320,7 +320,7 @@ let test_worker_crash_restarted () =
 
 let test_oom_not_retried_by_policy () =
   with_tmp "oom" (fun path ->
-      let policy = { fast_policy with Par.Supervise.retry_oom = false } in
+      let policy = { fast_policy with Dist.retry_oom = false } in
       let rows, stats =
         run_ok ~workers:2 ~batch:1 ~policy ~resume:false ~journal:path
           ~solver:"test-oom" (toy_cells 6)
@@ -335,6 +335,66 @@ let test_oom_not_retried_by_policy () =
         (List.length (List.filter (fun r -> r.Dist.r_decided) rows));
       if stats.Dist.d_gave_up < 1 then
         Alcotest.failf "expected OOM give-ups, saw %d" stats.Dist.d_gave_up)
+
+(* The in-process path ([workers:1]) runs the same policy over raised
+   exceptions: steady succeeds at once, flaky after two crashes, doomed
+   exhausts the policy and degrades to an undecided row that a resume
+   solves again; an OOM under [retry_oom = false] is never retried. *)
+let test_inprocess_supervision () =
+  with_tmp "inproc" (fun path ->
+      let attempts = Hashtbl.create 8 in
+      let healed = ref false in
+      let crashes = function "flaky" -> 2 | "doomed" -> max_int | _ -> 0 in
+      Dist.register "test-inproc" (fun ~arg:_ key ->
+          let a = 1 + Option.value ~default:0 (Hashtbl.find_opt attempts key) in
+          Hashtbl.replace attempts key a;
+          if a <= crashes key && not !healed then failwith (key ^ ": injected crash");
+          (true, key ^ "-done"));
+      let cells =
+        List.map
+          (fun k -> { Dist.cell_key = k; cell_hint = 0. })
+          [ "steady"; "flaky"; "doomed" ]
+      in
+      let rows, stats =
+        run_ok ~workers:1 ~policy:fast_policy ~resume:false ~journal:path
+          ~solver:"test-inproc" cells
+      in
+      Alcotest.(check matrix) "steady and flaky decided, doomed undecided"
+        [
+          ("steady", true, "steady-done");
+          ("flaky", true, "flaky-done");
+          ("doomed", false, "");
+        ]
+        (rows_sig rows);
+      Alcotest.(check (list int)) "attempts per cell" [ 1; 3; 3 ]
+        (List.map (Hashtbl.find attempts) [ "steady"; "flaky"; "doomed" ]);
+      Alcotest.(check int) "restarts" 4 stats.Dist.d_restarts;
+      Alcotest.(check int) "give-ups" 1 stats.Dist.d_gave_up;
+      healed := true;
+      let rows, stats =
+        run_ok ~workers:1 ~policy:fast_policy ~resume:true ~journal:path
+          ~solver:"test-inproc" cells
+      in
+      Alcotest.(check int) "decided cells skipped on resume" 2 stats.Dist.d_skipped;
+      Alcotest.(check int) "doomed dispatched again" 1 stats.Dist.d_dispatched;
+      Alcotest.(check (option (triple string bool string))) "doomed solved on resume"
+        (Some ("doomed", true, "doomed-done"))
+        (List.find_opt (fun r -> r.Dist.r_key = "doomed") rows |> Option.map row_sig));
+  with_tmp "inproc-oom" (fun path ->
+      let runs = ref 0 in
+      Dist.register "test-inproc-oom" (fun ~arg:_ _key ->
+          incr runs;
+          raise Out_of_memory);
+      let policy = { fast_policy with Dist.retry_oom = false } in
+      let rows, stats =
+        run_ok ~workers:1 ~policy ~resume:false ~journal:path ~solver:"test-inproc-oom"
+          (toy_cells 1)
+      in
+      Alcotest.(check int) "one attempt" 1 !runs;
+      Alcotest.(check int) "no restarts" 0 stats.Dist.d_restarts;
+      Alcotest.(check int) "gave up" 1 stats.Dist.d_gave_up;
+      Alcotest.(check bool) "OOM cell undecided" false
+        (List.for_all (fun r -> r.Dist.r_decided) rows))
 
 (* ------------------------------------------------------------------ *)
 (* Kill-a-worker-at-every-batch resume equivalence                     *)
@@ -454,6 +514,8 @@ let suite =
     Alcotest.test_case "worker crash is restarted" `Quick test_worker_crash_restarted;
     Alcotest.test_case "OOM not retried under policy" `Quick
       test_oom_not_retried_by_policy;
+    Alcotest.test_case "in-process supervision (workers:1)" `Quick
+      test_inprocess_supervision;
     Alcotest.test_case "kill-worker-at-every-batch sweep (fast)" `Slow
       test_kill_sweep_fast;
     Alcotest.test_case "real matrix: dist equals serial" `Slow

@@ -28,11 +28,13 @@ let test_empty_and_singleton () =
 let test_exception_does_not_lose_results () =
   let xs = List.init 20 (fun i -> i) in
   let results =
-    Par.map_result ~jobs:4 (fun i -> if i = 7 then failwith "boom" else i + 1) xs
+    Par.map_governed ~jobs:4
+      (fun _token i -> if i = 7 then failwith "boom" else i + 1)
+      xs
   in
   Alcotest.(check int) "all tasks reported" 20 (List.length results);
   List.iteri
-    (fun i r ->
+    (fun i (r, _) ->
       match r with
       | Ok v ->
           Alcotest.(check bool) "non-failing index" true (i <> 7);
