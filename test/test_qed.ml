@@ -423,6 +423,34 @@ let test_run_escalating_no_limits_is_run () =
   | Checks.Fail _ | Checks.Unknown _ -> Alcotest.fail "expected a pass");
   Alcotest.(check int) "one attempt" 1 (List.length r.Checks.attempts)
 
+(* The search trajectory of one real check, pinned: the product of two
+   lfsr8 copies at its recommended bound, one of the benchmark's proved
+   cells. Solver bookkeeping changes must leave every counter of the
+   incremental BMC session exactly where it was; the verdict alone cannot
+   tell a changed search from an unchanged one. *)
+let test_pinned_trajectory () =
+  let e = Designs.Registry.find "lfsr8" in
+  let r =
+    Checks.run Checks.Gqed e.Designs.Entry.design e.Designs.Entry.iface
+      ~bound:e.Designs.Entry.rec_bound
+  in
+  (match r.Checks.verdict with
+  | Checks.Pass n -> Alcotest.(check int) "proved at the bound" e.Designs.Entry.rec_bound n
+  | Checks.Fail _ | Checks.Unknown _ -> Alcotest.fail "expected a pass");
+  let st = r.Checks.sat_stats in
+  Alcotest.(check (list int))
+    "cnf vars, clauses; conflicts, decisions, propagations, restarts"
+    [ 2175; 6168; 1574; 5488; 285925; 10 ]
+    Sat.Solver.
+      [
+        r.Checks.cnf_vars;
+        r.Checks.cnf_clauses;
+        st.conflicts;
+        st.decisions;
+        st.propagations;
+        st.restarts;
+      ]
+
 let suite =
   [
     ("qed.gqed_correct_accum", `Quick, test_gqed_passes_on_correct_accum);
@@ -447,4 +475,5 @@ let suite =
     ("qed.limits_unknown", `Quick, test_limits_produce_unknown);
     ("qed.escalate_converges", `Quick, test_run_escalating_converges);
     ("qed.escalate_no_limits", `Quick, test_run_escalating_no_limits_is_run);
+    ("qed.pinned_trajectory", `Quick, test_pinned_trajectory);
   ]

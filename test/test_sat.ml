@@ -863,6 +863,66 @@ let test_long_run_reduce_compact () =
   Alcotest.(check bool) "level-0 sweeps ran" true (List.length (named "sat.simplify") > 0);
   Alcotest.(check bool) "the arena was compacted" true (named "sat.compact" <> [])
 
+
+(* ------------------------------------------------------------------ *)
+(* Pinned search trajectory. Bookkeeping changes to the solver (storage
+   of the order heap, scheduling of level-0 sweeps, arena compaction)
+   must not change one decision of the search, and a changed search keeps
+   every verdict right, so only exact counters can tell. The numbers
+   below are the solver's own on this instance; a change that moves them
+   changes the search and must say so. *)
+
+(* Literals assigned at decision level 0 (the unit clauses of a snapshot). *)
+let level0_units s =
+  List.length (List.filter (fun c -> Array.length c = 1) (snd (Solver.export_cnf s)))
+
+let counters s =
+  let st = Solver.stats s in
+  Solver.(st.conflicts, st.decisions, st.propagations, st.restarts)
+
+let check_counters name (c, d, p, r) s =
+  let c', d', p', r' = counters s in
+  Alcotest.(check (list int))
+    (name ^ ": conflicts, decisions, propagations, restarts")
+    [ c; d; p; r ] [ c'; d'; p'; r' ]
+
+let test_pinned_trajectory () =
+  let rand = Random.State.make [| 7 |] in
+  let nvars = 200 in
+  let s = Solver.create () in
+  (* x is decided first (the heap's root while every activity is 0) and
+     the last two variables right after it, so the gadget below makes the
+     first descent learn the unit x. *)
+  let x = Solver.new_var s in
+  ignore (fresh_vars s nvars);
+  List.iter (Solver.add_clause s) (random_3sat rand ~base:1 ~nvars ~nclauses:850);
+  (* A level-0 unit from add_clause, and one that preprocessing derives:
+     (b | c) and (b | ~c) strengthen to b. *)
+  Solver.add_clause s [ Lit.pos 5 ];
+  Alcotest.(check int) "add_clause unit" 1 (level0_units s);
+  let b = Solver.new_var s and c = Solver.new_var s in
+  Solver.add_clause s [ Lit.pos b; Lit.pos c ];
+  Solver.add_clause s [ Lit.pos b; Lit.neg c ];
+  ignore (Solver.preprocess s);
+  Alcotest.(check int) "preprocess unit" 2 (level0_units s);
+  let z = Solver.new_var s in
+  let y = Solver.new_var s in
+  List.iter
+    (fun (ny, nz) -> Solver.add_clause s [ Lit.pos x; Lit.make y ~neg:ny; Lit.make z ~neg:nz ])
+    [ (false, false); (false, true); (true, false); (true, true) ];
+  let r1 = Solver.solve ~assumptions:[ Lit.neg 6; Lit.pos 7 ] s in
+  Alcotest.(check bool) "first solve unsat under assumptions" true (r1 = Solver.Unsat);
+  Alcotest.(check int) "learnt unit" 3 (level0_units s);
+  check_counters "first solve" (4632, 5629, 182336, 24) s;
+  (* Incremental: a guarded batch, solved under its guard. *)
+  List.iter
+    (fun c -> Solver.add_clause s (Lit.neg 9 :: c))
+    (random_3sat rand ~base:1 ~nvars ~nclauses:100);
+  let r2 = Solver.solve ~assumptions:[ Lit.pos 9; Lit.neg 8 ] s in
+  Alcotest.(check bool) "second solve unsat under assumptions" true (r2 = Solver.Unsat);
+  Alcotest.(check bool) "still ok" true (Solver.ok s);
+  check_counters "second solve" (5240, 6338, 202599, 29) s
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -912,6 +972,7 @@ let suite =
     ("govern.budget_scale", `Quick, test_budget_scale);
     ("govern.seed_verdict", `Quick, test_seed_preserves_verdict);
     ("sat.long_run_reduce_compact", `Quick, test_long_run_reduce_compact);
+    ("sat.pinned_trajectory", `Quick, test_pinned_trajectory);
     ("portfolio.ring_overflow", `Quick, test_ring_overflow_drop);
     ("portfolio.unsat_matches_single", `Quick, test_portfolio_unsat_matches_single);
     ("portfolio.unsat_certified", `Quick, test_portfolio_unsat_certified);
