@@ -186,11 +186,11 @@ let timeout_arg =
     & opt (some float) None
     & info [ "timeout" ] ~docv:"SEC"
         ~doc:
-          "Per-query wall-clock budget in seconds. An exhausted budget turns the \
-           verdict into $(b,unknown) (exit code 3) rather than hanging; with \
-           $(b,--all-mutants) a watchdog in the process solving each mutant \
-           also caps that mutant's whole check, escalation included, at \
-           $(docv).")
+          "Wall-clock budget in seconds, per query and per check. An exhausted \
+           budget turns the verdict into $(b,unknown) (exit code 3) rather than \
+           hanging; a watchdog caps each check's whole run, escalation \
+           included, at $(docv): the single check, or with $(b,--all-mutants) \
+           each mutant's check, in the process solving it.")
 
 let max_conflicts_arg =
   Arg.(
@@ -395,10 +395,10 @@ let check ?cancel (c : solve_config) design iface ~bound =
     Checks.run_escalating ~racing:(jobs > 1 && budget <> None) ~jobs ~simplify ~mono
       ~limits c.technique design iface ~bound
 
-(* A matrix cell's check. Under --timeout a watchdog cancels the whole
-   cell at the deadline, escalation included, in whichever process
-   solves it; without it the escalation ladder could run to 64x the
-   per-query budget. *)
+(* One check as the CLI runs it: a single verify or a matrix cell. Under
+   --timeout a watchdog cancels the whole check at the deadline,
+   escalation included, in whichever process solves it; without it the
+   escalation ladder could run to 64x the per-query budget. *)
 let check_cell (c : solve_config) design iface ~bound =
   match c.timeout with
   | None -> check c design iface ~bound
@@ -724,7 +724,7 @@ let verify_cmd =
     | None -> ());
     let t0 = Unix.gettimeofday () in
     let report =
-      let solve () = check config design e.Entry.iface ~bound in
+      let solve () = check_cell config design e.Entry.iface ~bound in
       match campaign with
       | None -> solve ()
       | Some c -> (

@@ -3,12 +3,13 @@
    watch maintenance, first-UIP analysis, reason locking).
 
    The hot path touches unboxed data only: clauses live in one flat int
-   arena, watch lists are flat int arrays of (cref, blocker) pairs, and
-   assignments and reasons are int arrays. Propagation therefore neither
-   allocates nor goes through the write barrier. *)
+   arena, watch lists are flat int arrays of (cref, blocker) pairs,
+   assignments and reasons are int arrays, and the VSIDS order heap is an
+   int array of variables. Propagation, conflict analysis and branching
+   therefore neither allocate nor go through the write barrier. *)
 
 (* Growable int stack with unboxed storage: trail, decision-level marks,
-   analysis scratch and watch lists. *)
+   analysis scratch, watch lists and the order heap. *)
 module Ivec = struct
   type t = { mutable data : int array; mutable len : int }
 
@@ -206,7 +207,7 @@ type t = {
   (* VSIDS. *)
   mutable var_inc : float;
   mutable cla_inc : float;
-  heap : int Vec.t; (* binary max-heap of variables by activity *)
+  heap : Ivec.t; (* binary max-heap of variables by activity *)
   mutable heap_index : int array; (* position in heap, -1 if absent *)
   (* Assumptions for the current solve. *)
   mutable assumptions : int array;
@@ -238,6 +239,10 @@ type t = {
   mutable pre_watermark : int;
   mutable pre_trail_mark : int;
   mutable pre_acc : presult;
+  (* Length of the level-0 trail at the last level-0 sweep ([simplify]);
+     -1 when a clause has entered or a level-0 reason has been released
+     since, so the next sweep must run. *)
+  mutable simp_mark : int;
   (* Status. *)
   mutable ok : bool;
   mutable answer : answer;
@@ -301,7 +306,7 @@ let create () =
     qhead = 0;
     var_inc = 1.;
     cla_inc = 1.;
-    heap = Vec.create 0;
+    heap = Ivec.create ();
     heap_index = Array.make 16 (-1);
     assumptions = [||];
     conflict = Vec.create 0;
@@ -317,6 +322,7 @@ let create () =
     pre_watermark = 0;
     pre_trail_mark = 0;
     pre_acc = empty_presult;
+    simp_mark = -1;
     ok = true;
     answer = A_none;
     model = [||];
@@ -436,28 +442,30 @@ let log_delete s c =
 
 let heap_lt s v1 v2 = s.activity.(v1) > s.activity.(v2)
 
+(* The heap's variables are [heap.data.(0 .. heap.len - 1)]. *)
 let heap_swap s i j =
-  let h = s.heap in
-  let vi = Vec.get h i and vj = Vec.get h j in
-  Vec.set h i vj;
-  Vec.set h j vi;
+  let h = s.heap.data in
+  let vi = h.(i) and vj = h.(j) in
+  h.(i) <- vj;
+  h.(j) <- vi;
   s.heap_index.(vi) <- j;
   s.heap_index.(vj) <- i
 
 let rec heap_up s i =
   if i > 0 then begin
+    let h = s.heap.data in
     let parent = (i - 1) / 2 in
-    if heap_lt s (Vec.get s.heap i) (Vec.get s.heap parent) then begin
+    if heap_lt s h.(i) h.(parent) then begin
       heap_swap s i parent;
       heap_up s parent
     end
   end
 
 let rec heap_down s i =
-  let n = Vec.size s.heap in
+  let h = s.heap.data and n = s.heap.len in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap i) then l else i in
-  let best = if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap best) then r else best in
+  let best = if l < n && heap_lt s h.(l) h.(i) then l else i in
+  let best = if r < n && heap_lt s h.(r) h.(best) then r else best in
   if best <> i then begin
     heap_swap s i best;
     heap_down s best
@@ -465,9 +473,9 @@ let rec heap_down s i =
 
 let heap_insert s v =
   if s.heap_index.(v) < 0 then begin
-    Vec.push s.heap v;
-    s.heap_index.(v) <- Vec.size s.heap - 1;
-    heap_up s (Vec.size s.heap - 1)
+    Ivec.push s.heap v;
+    s.heap_index.(v) <- s.heap.len - 1;
+    heap_up s (s.heap.len - 1)
   end
 
 let heap_decrease s v =
@@ -475,12 +483,15 @@ let heap_decrease s v =
   let i = s.heap_index.(v) in
   if i >= 0 then heap_up s i
 
+(* Remove and return the root; the heap must not be empty. *)
 let heap_pop s =
-  let v = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let h = s.heap in
+  let v = h.data.(0) in
+  h.len <- h.len - 1;
   s.heap_index.(v) <- -1;
-  if Vec.size s.heap > 0 then begin
-    Vec.set s.heap 0 last;
+  if h.len > 0 then begin
+    let last = h.data.(h.len) in
+    h.data.(0) <- last;
     s.heap_index.(last) <- 0;
     heap_down s 0
   end;
@@ -979,6 +990,7 @@ let add_clause s lits =
     lits;
   log_input s lits;
   if s.ok then begin
+    s.simp_mark <- -1;
     (* Sort + dedup; detect tautologies and level-0 entailment. *)
     let lits = List.sort_uniq Int.compare lits in
     let tautology =
@@ -1044,9 +1056,15 @@ let reduce_db s =
     Obs.Trace.span_end "sat.reduce"
       ~args:[ ("kept", string_of_int (Vec.size s.learnts)) ]
 
+(* A loop over refs, not a local recursive function: that would allocate
+   a closure for every clause a sweep visits. *)
 let clause_satisfied s c =
-  let rec loop i = i < clause_size s c && (value_lit s (clause_lit s c i) = 1 || loop (i + 1)) in
-  loop 0
+  let stop = c + hdr_words + clause_size s c in
+  let i = ref (c + hdr_words) in
+  while !i < stop && value_lit s s.arena.(!i) <> 1 do
+    incr i
+  done;
+  !i < stop
 
 let simplify s =
   assert (decision_level s = 0);
@@ -1075,6 +1093,7 @@ let simplify s =
     sweep s.learnts;
     sweep ~track_watermark:true s.clauses;
     maybe_compact s;
+    s.simp_mark <- s.trail.len;
     if Obs.on () then Obs.Trace.span_end "sat.simplify"
   end
   else begin
@@ -1088,12 +1107,14 @@ let simplify s =
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
 
+(* The unassigned variable of highest activity, or -1 when every variable
+   is assigned. *)
 let pick_branch_var s =
   let rec loop () =
-    if Vec.is_empty s.heap then None
+    if s.heap.len = 0 then -1
     else begin
       let v = heap_pop s in
-      if not (var_assigned s v) then Some v else loop ()
+      if not (var_assigned s v) then v else loop ()
     end
   in
   loop ()
@@ -1164,12 +1185,10 @@ let decide s =
     end
     else begin
       s.n_decisions <- s.n_decisions + 1;
-      match pick_branch_var s with
-      | None -> raise Found_sat
-      | Some v ->
-          let l = Lit.make v ~neg:s.polarity.(v) in
-          new_decision_level s;
-          unchecked_enqueue s l no_cref
+      let v = pick_branch_var s in
+      if v < 0 then raise Found_sat;
+      new_decision_level s;
+      unchecked_enqueue s (Lit.make v ~neg:s.polarity.(v)) no_cref
     end
   in
   assume ()
@@ -1228,7 +1247,13 @@ let search s ~max_conflicts =
         cancel_until s 0;
         raise Restart
       end;
-      if decision_level s = 0 then simplify s;
+      (* Sweep invariant: a clause can only become satisfied at level 0 by
+         a new level-0 literal (learnt clauses are made of false literals,
+         so none holds a level-0 literal), and every other way a clause
+         enters or a reason is released resets [simp_mark]. A sweep with
+         the level-0 trail unchanged since the last one therefore removes
+         nothing, and is skipped. *)
+      if decision_level s = 0 && s.trail.len <> s.simp_mark then simplify s;
       if not s.ok then raise Found_unsat;
       if float_of_int (Vec.size s.learnts) -. float_of_int s.trail.len >= s.max_learnts
       then reduce_db s;
@@ -1313,6 +1338,7 @@ let integrate_import s lits =
      with Exit -> ());
     log_add_arr s l;
     s.n_imported <- s.n_imported + 1;
+    s.simp_mark <- -1;
     if !k = 0 then begin
       s.ok <- false;
       log_empty s
@@ -1456,6 +1482,7 @@ let install_clause s lits =
   let c = alloc_clause s l len ~learnt:false ~lbd:0 in
   Vec.push s.clauses c;
   attach_clause s c;
+  s.simp_mark <- -1;
   if !k = 0 then begin
     s.ok <- false;
     log_empty s
@@ -1502,10 +1529,12 @@ let preprocess ?(elim = false) ?(frozen = []) s =
   else begin
     (* Level-0 implied literals never need their reason clause again
        (conflict analysis stops above level 0), so clear the pointers and
-       let preprocessing strengthen or delete former reasons freely. *)
+       let preprocessing strengthen or delete former reasons freely. The
+       satisfied clauses this unlocks go at the next level-0 sweep. *)
     for i = 0 to s.trail.len - 1 do
       s.reason.(Lit.var s.trail.data.(i)) <- no_cref
     done;
+    s.simp_mark <- -1;
     let n = Vec.size s.clauses in
     let ntrail = s.trail.len in
     let db = Array.make (n + ntrail) [||] in

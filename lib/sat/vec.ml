@@ -1,6 +1,9 @@
-(* Growable array, the workhorse container of the solver's hot paths.
-   Unlike [Buffer] or lists, it supports O(1) random access, O(1) amortized
-   push, and O(1) unordered removal (swap with last). *)
+(* Growable polymorphic array: the solver's clause databases, the failed-
+   assumption list, and DRAT checking. Unlike [Buffer] or lists, it supports
+   O(1) random access, O(1) amortized push, and O(1) unordered removal (swap
+   with last). The solver's hot paths (trail, watch lists, order heap) use
+   the unboxed [Ivec] in solver.ml instead: a ['a array] pays a tag check on
+   every read and the write barrier on every write. *)
 
 type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
 
@@ -8,7 +11,6 @@ let create ?(capacity = 16) dummy =
   { data = Array.make (max capacity 1) dummy; size = 0; dummy }
 
 let size t = t.size
-let is_empty t = t.size = 0
 
 let get t i =
   if i < 0 || i >= t.size then invalid_arg "Vec.get: index out of bounds";

@@ -863,7 +863,6 @@ let test_long_run_reduce_compact () =
   Alcotest.(check bool) "level-0 sweeps ran" true (List.length (named "sat.simplify") > 0);
   Alcotest.(check bool) "the arena was compacted" true (named "sat.compact" <> [])
 
-
 (* ------------------------------------------------------------------ *)
 (* Pinned search trajectory. Bookkeeping changes to the solver (storage
    of the order heap, scheduling of level-0 sweeps, arena compaction)
@@ -923,6 +922,90 @@ let test_pinned_trajectory () =
   Alcotest.(check bool) "still ok" true (Solver.ok s);
   check_counters "second solve" (5240, 6338, 202599, 29) s
 
+(* ------------------------------------------------------------------ *)
+(* Level-0 sweeps. The search sweeps satisfied clauses out of the
+   databases at level 0 only when the level-0 trail has grown since the
+   last sweep (or a clause entered). A missed sweep keeps every verdict
+   right but silently changes the search, so each way a level-0 literal
+   arrives is checked here: the clauses it satisfies must be gone after
+   the next solve. *)
+
+(* A solver holding one guarded batch, (~act | C) for each random C,
+   already solved (Sat) under [act]: its learnt clauses all contain ~act,
+   since act sits at level 1 under every conflict. *)
+let guarded_solver seed =
+  let rand = Random.State.make [| seed |] in
+  let s = Solver.create () in
+  let act = Lit.pos (Solver.new_var s) in
+  ignore (fresh_vars s 100);
+  List.iter
+    (fun c -> Solver.add_clause s (Lit.negate act :: c))
+    (random_3sat rand ~base:1 ~nvars:100 ~nclauses:426);
+  Alcotest.(check bool) "guarded batch sat" true
+    (Solver.solve ~assumptions:[ act ] s = Solver.Sat);
+  let st = Solver.stats s in
+  Alcotest.(check bool) "learnt clauses to sweep" true (st.Solver.learnt_clauses > 0);
+  (s, act)
+
+(* Clauses (~act | w) and (~act | ~w) over a fresh w: act alone implies a
+   conflict. *)
+let add_refutation s act =
+  let w = Solver.new_var s in
+  Solver.add_clause s [ Lit.negate act; Lit.pos w ];
+  Solver.add_clause s [ Lit.negate act; Lit.neg w ]
+
+let check_all_swept name s =
+  let st = Solver.stats s in
+  Alcotest.(check (pair int int))
+    (name ^ ": problem and learnt clauses left")
+    (0, 0)
+    (st.Solver.clauses, st.Solver.learnt_clauses)
+
+let test_sweep_after_level0_unit () =
+  (* An add_clause unit. *)
+  let s, act = guarded_solver 21 in
+  Solver.add_clause s [ Lit.negate act ];
+  ignore (Solver.solve s);
+  check_all_swept "add_clause unit" s;
+  (* A preprocess unit: strengthening the refutation derives ~act, which
+     subsumes the guarded problem clauses, but preprocessing never sees
+     the learnt ones; the next solve's sweep must drop them. *)
+  let s, act = guarded_solver 23 in
+  add_refutation s act;
+  let learnts = (Solver.stats s).Solver.learnt_clauses in
+  ignore (Solver.preprocess s);
+  Alcotest.(check int) "preprocess leaves the learnts" learnts
+    (Solver.stats s).Solver.learnt_clauses;
+  ignore (Solver.solve s);
+  check_all_swept "preprocess unit" s;
+  (* A learnt unit: under [act] the refutation conflicts at level 1 and
+     the solver learns ~act mid-solve, after the solve's first sweep. *)
+  let s, act = guarded_solver 25 in
+  add_refutation s act;
+  Alcotest.(check bool) "unsat under act" true
+    (Solver.solve ~assumptions:[ act ] s = Solver.Unsat);
+  check_all_swept "learnt unit" s
+
+let test_sweep_skipped_when_unchanged () =
+  let sweeps f =
+    let events = trace_of f in
+    List.length
+      (List.filter
+         (fun e -> e.Obs.Trace.ev_name = "sat.simplify" && e.Obs.Trace.ev_kind = Obs.Trace.Begin)
+         events)
+  in
+  let s, act = guarded_solver 29 in
+  let u = level0_units s in
+  (* Nothing new at level 0 since the last sweep: the solve sweeps never. *)
+  Alcotest.(check int) "no sweep on an unchanged level 0" 0
+    (sweeps (fun () -> ignore (Solver.solve ~assumptions:[ act ] s)));
+  Alcotest.(check int) "no level-0 literal learnt" u (level0_units s);
+  (* A new clause, even one that adds no level-0 literal, forces one. *)
+  let a = Solver.new_var s and b = Solver.new_var s in
+  Solver.add_clause s [ Lit.pos a; Lit.pos b ];
+  Alcotest.(check int) "one sweep after add_clause" 1
+    (sweeps (fun () -> ignore (Solver.solve ~assumptions:[ act ] s)))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -973,6 +1056,8 @@ let suite =
     ("govern.seed_verdict", `Quick, test_seed_preserves_verdict);
     ("sat.long_run_reduce_compact", `Quick, test_long_run_reduce_compact);
     ("sat.pinned_trajectory", `Quick, test_pinned_trajectory);
+    ("sat.sweep_after_level0_unit", `Quick, test_sweep_after_level0_unit);
+    ("sat.sweep_skipped_when_unchanged", `Quick, test_sweep_skipped_when_unchanged);
     ("portfolio.ring_overflow", `Quick, test_ring_overflow_drop);
     ("portfolio.unsat_matches_single", `Quick, test_portfolio_unsat_matches_single);
     ("portfolio.unsat_certified", `Quick, test_portfolio_unsat_certified);
