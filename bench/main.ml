@@ -13,7 +13,7 @@
    micro.
 
    Each experiment is a function from the run's [env] (the parsed flags,
-   the --checkpoint journal, the run's verdict tally) to an [outcome]: the
+   the run's verdict tally) to an [outcome]: the
    report blocks it fills and its gates. A gate is a named count of
    something that must never happen — a verdict flip between two lanes
    that must agree, a malformed trace — and any nonzero gate fails the run
@@ -23,15 +23,8 @@
    count flips with [Report.lane_flips]. Blocks of experiments that did not run
    keep their defaults, so every report has the same keys.
 
-   --checkpoint FILE journals every check's verdict to a crash-safe
-   write-ahead log as the run progresses; --resume replays an existing
-   journal and skips the decided tasks, reproducing the uninterrupted
-   verdict matrix bit-for-bit (journaled Unknown verdicts are always
-   re-attempted). A fresh run refuses an existing journal unless --force;
-   --resume without a journal is an error. Timing figures of a resumed
-   run are not comparable to a cold one (skipped cells cost ~0), but no
-   verdict or table cell ever changes. --seed N varies which kill point
-   the r2 crash simulation picks (verdicts are seed-independent).
+   --seed N varies which kill points the r2 and dist crash simulations
+   pick (verdicts are seed-independent).
 
    --trace FILE / --metrics FILE / --trace-format ndjson|chrome enable
    the Obs layer for the whole run and write the merged span trace and
@@ -50,8 +43,13 @@
    check the harness runs; a check that exhausts it reports "unknown"
    instead of a verdict. --no-escalate turns off the Bmc.Escalate retry
    ladder that otherwise regrows exhausted budgets until the check
-   decides. The run exits 3 when any verdict stayed unknown and no gate
-   failed.
+   decides. Funnel checks run [Matrix.check] and the r2/dist campaign
+   cells the "campaign" solver's [Matrix.check_cell], all under one
+   [Matrix.config]; under --timeout a cell's whole check is also capped
+   by a watchdog. A wall-clock --timeout makes verdicts depend on
+   timing, so every lane-vs-lane gate (s1, p1, obs, rob, r2, dist) may
+   then count an unknown on one lane only as a flip. The run exits 3
+   when any verdict stayed unknown and no gate failed.
 
    Parallelism never changes any verdict or table cell: every task builds
    its own engine and results are reassembled in input order (see
@@ -76,8 +74,7 @@ let time f =
 type config = {
   jobs : int;
   pipeline : Bmc.simplify_config; (* --no-simplify: t3, f1 and a2 only *)
-  limits : Bmc.limits; (* --timeout / --max-conflicts *)
-  escalate : bool;
+  solve : Matrix.config; (* --timeout / --max-conflicts / --no-escalate *)
   portfolio : int;
   share : bool;
   workers : int; (* 0: auto *)
@@ -85,8 +82,6 @@ type config = {
   policy : Dist.restart_policy;
   designs : string list option;
   seed : int;
-  checkpoint : string option;
-  resume : bool;
   force : bool;
   json : string option;
   trace : string option;
@@ -96,11 +91,7 @@ type config = {
 
 (* Counted over every check the harness funnels through [record]. Atomic
    because checks run on worker domains under Par fan-outs. *)
-type tally = {
-  unknown : int Atomic.t;
-  escalations : int Atomic.t;
-  skips : int Atomic.t; (* checks served warm from the --checkpoint journal *)
-}
+type tally = { unknown : int Atomic.t; escalations : int Atomic.t }
 
 type t2_row = {
   r_name : string;
@@ -118,7 +109,6 @@ type t2_row = {
 type env = {
   cfg : config;
   tally : tally;
-  campaign : Persist.Campaign.t option;
   t2 : t2_row list Lazy.t; (* the T2 matrix, shared by t2 and f3 *)
 }
 
@@ -139,43 +129,15 @@ let record env report =
   if extra > 0 then ignore (Atomic.fetch_and_add env.tally.escalations extra);
   report
 
-(* Every experiment's checks funnel through here so the budget flags,
-   escalation policy and the --checkpoint journal apply uniformly. With no
-   budget set this is exactly the direct check: run_escalating under
-   Bmc.no_limits is one attempt. [check_warm] additionally says whether
-   the report was served warm from the --checkpoint journal — the timing
-   experiments (t3, f1) use it so resumed rows are never mistaken for
-   cold measurements. Solved cells journal their wall-clock seconds,
-   which later distributed runs read back for hardest-first ordering. *)
-let check_warm env ?simplify ?mono technique design iface ~bound =
-  let limits = env.cfg.limits in
-  let solve () =
-    if env.cfg.escalate then
-      Checks.run_escalating ?simplify ?mono ~limits technique design iface ~bound
-    else Checks.run ?simplify ?mono ~limits technique design iface ~bound
-  in
-  match env.campaign with
-  | None -> (record env (solve ()), false)
-  | Some c -> (
-      let key = Checks.campaign_key technique design iface ~bound in
-      let cached =
-        (* Only decided verdicts come back from the journal (the Unknown
-           rule lives in Persist.Campaign); a payload from a stale schema
-           decodes to None and the task simply re-runs. *)
-        Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-      in
-      match cached with
-      | Some r ->
-          Atomic.incr env.tally.skips;
-          (record env r, true)
-      | None ->
-          let r, dt = time solve in
-          Persist.Campaign.record c ~seconds:dt ~decided:(Checks.report_decided r)
-            ~key ~payload:(Checks.encode_report r);
-          (record env r, false))
-
-let check env ?simplify ?mono technique design iface ~bound =
-  fst (check_warm env ?simplify ?mono technique design iface ~bound)
+(* Every experiment's checks funnel through here so the budget flags and
+   escalation policy apply uniformly: [Matrix.check] under the run's solve
+   config with the experiment's technique and pipeline. With no budget set
+   this is exactly the direct check: escalation under no limits is one
+   attempt. *)
+let check env ?(simplify = Bmc.default_simplify) ?(mono = false) technique design iface
+    ~bound =
+  record env
+    (Matrix.check { env.cfg.solve with technique; simplify; mono } design iface ~bound)
 
 let par_map env f xs = Par.map ~jobs:env.cfg.jobs f xs
 
@@ -249,7 +211,7 @@ let entries ?default env =
   | None, None -> Registry.all
 
 (* One solver-cost row of the report's "solver" block (t3, f1). *)
-let solver_row ~design ~bound ((report, warm), dt) =
+let solver_row ~design ~bound (report, dt) =
   let st = report.Checks.sat_stats and sp = report.Checks.simp in
   let pre = sp.Bmc.Engine.ss_pre in
   R.(
@@ -259,7 +221,6 @@ let solver_row ~design ~bound ((report, warm), dt) =
         ("bound", Int bound);
         ("verdict", Str (verdict_key report));
         ("time_s", Num (3, dt));
-        ("warm", Bool warm);
         ("cnf_vars", Int report.Checks.cnf_vars);
         ("cnf_clauses", Int report.Checks.cnf_clauses);
         ("conflicts", Int st.Sat.Solver.conflicts);
@@ -441,16 +402,15 @@ let t3 env =
   let rows =
     Par.map_timed ~jobs:env.cfg.jobs
       (fun e ->
-        check_warm env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design
-          e.Entry.iface ~bound:e.Entry.rec_bound)
+        check env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design e.Entry.iface
+          ~bound:e.Entry.rec_bound)
       Registry.all
   in
   List.iter2
-    (fun e ((report, warm), dt) ->
-      Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f%s\n%!" e.Entry.name
+    (fun e (report, dt) ->
+      Printf.printf "%-12s %6d %9d %9d %10d %9s %8.2f\n%!" e.Entry.name
         e.Entry.rec_bound report.Checks.cnf_vars report.Checks.cnf_clauses
-        report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt
-        (if warm then "  (journal)" else ""))
+        report.Checks.sat_stats.Sat.Solver.conflicts (short_verdict report) dt)
     Registry.all rows;
   let json =
     List.map2
@@ -631,7 +591,7 @@ let a2 env =
     ]
   in
   let invariant = Expr.ne (Expr.var "acc" 4) (Expr.const_int ~width:4 15) in
-  let simplify = env.cfg.pipeline and limits = env.cfg.limits in
+  let simplify = env.cfg.pipeline and limits = Matrix.limits env.cfg.solve in
   Printf.printf "%-8s %14s %14s %10s\n" "depth" "incremental(s)" "monolithic(s)" "result";
   List.iter
     (fun depth ->
@@ -898,8 +858,8 @@ let f1 env =
     Par.map_timed ~jobs:env.cfg.jobs
       (fun (bound, name) ->
         let e = Registry.find name in
-        check_warm env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design
-          e.Entry.iface ~bound)
+        check env ~simplify:env.cfg.pipeline Checks.Gqed e.Entry.design e.Entry.iface
+          ~bound)
       cells
   in
   List.iteri
@@ -907,14 +867,10 @@ let f1 env =
       Printf.printf "%-6d" bound;
       List.iteri
         (fun di _ ->
-          let (_, warm), dt = List.nth timed ((bi * List.length designs) + di) in
-          Printf.printf " %11.3f%s" dt (if warm then "*" else " "))
+          Printf.printf " %11.3f " (snd (List.nth timed ((bi * List.length designs) + di))))
         designs;
       Printf.printf "\n%!")
     bounds;
-  if List.exists (fun ((_, warm), _) -> warm) timed then
-    Printf.printf
-      "(* = served warm from the --checkpoint journal; lookup time, not solve time)\n";
   let json =
     List.map2 (fun (bound, name) row -> solver_row ~design:name ~bound row) cells timed
   in
@@ -1196,7 +1152,7 @@ let p1 env =
     (if env.cfg.share && effective > 1 then ", sharing learnt clauses"
      else ", no clause sharing");
   let pconfig = Sat.Portfolio.config ~workers:effective ~share:env.cfg.share () in
-  let single_limits = env.cfg.limits in
+  let single_limits = Matrix.limits env.cfg.solve in
   let portfolio_limits = { single_limits with Bmc.l_portfolio = Some pconfig } in
   (* Default subset: the hardest suite members (deep recommended bounds or
      wide state), where per-query solver time dominates the check. *)
@@ -1319,8 +1275,8 @@ let obs_exp env =
       (fun e ->
         let run1 () =
           record env
-            (Checks.run ~limits:env.cfg.limits Checks.Gqed e.Entry.design e.Entry.iface
-               ~bound:e.Entry.rec_bound)
+            (Checks.run ~limits:(Matrix.limits env.cfg.solve) Checks.Gqed e.Entry.design
+               e.Entry.iface ~bound:e.Entry.rec_bound)
         in
         Obs.disable ();
         let plain, t_off = time run1 in
@@ -1454,8 +1410,62 @@ let micro _env =
    the supervisor must restart crashing workers without taking the
    campaign down. *)
 
-(* The r2 members of the report's "campaign" block; the block itself also
-   carries the run's --checkpoint journal (see [report]). *)
+(* R2 and D1 run their cells on Dist.run with Matrix's "campaign"
+   solver: every design's [matrix_cells] as a G-QED check at the
+   recommended bound, keyed by (design, case). The solver resolves the
+   keys among its own table of each design's full mutant set, of which
+   the per-operator suite is a subset. *)
+let campaign_cells entries =
+  List.concat_map
+    (fun e ->
+      let bound = e.Entry.rec_bound in
+      List.map
+        (fun (label, d) ->
+          ( (e.Entry.name, label),
+            {
+              Dist.cell_key = Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound;
+              cell_hint = Checks.campaign_hint d ~bound;
+            } ))
+        (matrix_cells e))
+    entries
+
+(* The solver config the cells travel with: the run's budgets and
+   escalation, G-QED, and only the entries' designs in the worker's key
+   table. *)
+let campaign_arg env entries =
+  Matrix.encode
+    {
+      env.cfg.solve with
+      technique = Checks.Gqed;
+      names = List.map (fun e -> e.Entry.name) entries;
+    }
+
+let find_row rows (_, c) = List.find (fun r -> r.Dist.r_key = c.Dist.cell_key) rows
+
+(* A lane's verdict matrix over [cells]. Payload bytes embed wall-clock
+   solver stats, so lane equality is over decoded verdicts, exactly what
+   the tables print. *)
+let lane_matrix cells rows =
+  List.map
+    (fun ((k, _) as cell) ->
+      ( k,
+        match Checks.decode_report (find_row rows cell).Dist.r_payload with
+        | Some rep -> verdict_key rep
+        | None -> "<no verdict>" ))
+    cells
+
+(* Tally a lane's solved (cold) rows like funnel checks; a row without a
+   report is a solve that crashed on every attempt, an unknown. *)
+let record_rows env rows =
+  List.iter
+    (fun r ->
+      if not r.Dist.r_warm then
+        match Checks.decode_report r.Dist.r_payload with
+        | Some rep -> ignore (record env rep)
+        | None -> Atomic.incr env.tally.unknown)
+    rows
+
+(* The r2 members of the report's "campaign" block. *)
 let campaign_members ?(records = 0) ?(kill_at = 0) ?(skipped = 0) ?(rerun = 0)
     ?(flips = 0) ?(write_errors = 0) ?(recovered_bytes = 0) ?(restarts = 0)
     ?(gave_up = 0) ?(matrix = []) () =
@@ -1495,51 +1505,19 @@ let r2 env =
      ENOSPC) — write errors degrade durability, never verdicts. Any\n\
      disagreement fails the whole bench run (exit 1).\n\n";
   let entries = entries env ~default:[ "accum"; "hamming74"; "graycodec" ] in
-  let cells =
-    List.concat_map
-      (fun e -> List.map (fun (label, d) -> (label, e, d)) (matrix_cells e))
-      entries
-  in
-  let limits = env.cfg.limits in
-  (* One pass over the cells through a journal at [path]: Par fan-out,
-     decided journal hits are skipped on resume. Returns the verdict
-     matrix keyed by (design, case) and the campaign stats. *)
-  let run_campaign ?fault ~resume path =
-    match Persist.Campaign.start ?fault ~resume ~force:false path with
+  let cells = campaign_cells entries and arg = campaign_arg env entries in
+  (* One in-process pass over the cells through a journal at [journal];
+     decided journal records are served warm on resume. Returns the
+     verdict matrix keyed by (design, case) and the journal's stats. *)
+  let run_campaign ?fault ~resume journal =
+    match
+      Dist.run ~workers:1 ?fault ~arg ~resume ~force:false ~journal ~solver:Matrix.solver
+        (List.map snd cells)
+    with
     | Error msg -> failwith ("r2: " ^ msg)
-    | Ok c ->
-        let reports =
-          par_map env
-            (fun (_label, e, design) ->
-              let key =
-                Checks.campaign_key Checks.Gqed design e.Entry.iface
-                  ~bound:e.Entry.rec_bound
-              in
-              match
-                Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report
-              with
-              | Some r -> r
-              | None ->
-                  let r, dt =
-                    time (fun () ->
-                        record env
-                          (Checks.run ~limits Checks.Gqed design e.Entry.iface
-                             ~bound:e.Entry.rec_bound))
-                  in
-                  Persist.Campaign.record c ~seconds:dt
-                    ~decided:(Checks.report_decided r) ~key
-                    ~payload:(Checks.encode_report r);
-                  r)
-            cells
-        in
-        let stats = Persist.Campaign.stats c in
-        Persist.Campaign.close c;
-        let verdicts =
-          List.map2
-            (fun (label, e, _) r -> ((e.Entry.name, label), verdict_key r))
-            cells reports
-        in
-        (verdicts, stats)
+    | Ok (rows, stats) ->
+        record_rows env rows;
+        (lane_matrix cells rows, stats.Dist.d_campaign)
   in
   let tmp_journal tag =
     let f = Filename.temp_file ("gqed-r2-" ^ tag) ".jrnl" in
@@ -1659,66 +1637,8 @@ let r2 env =
 (* serially in-process and across N worker processes journaling to       *)
 (* per-worker shards, flip-gated, plus a kill/resume lane and a          *)
 (* supervised-restart lane. Workers are this executable re-exec'd (see   *)
-(* lib/dist/DESIGN.md), so the solver rebuilds its key -> task table     *)
-(* from the design names carried in [arg] alone.                         *)
-
-let dist_cells e =
-  let bound = e.Entry.rec_bound in
-  let cell d =
-    {
-      Dist.cell_key = Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound;
-      cell_hint = Checks.campaign_hint d ~bound;
-    }
-  in
-  cell e.Entry.design :: List.map (fun (_m, mutant) -> cell mutant) (mutant_suite e)
-
-let dist_tables : (string, (string, Rtl.design * Qed.Iface.t * int) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 4
-
-(* arg = comma-separated registry names. The table is deterministic from
-   them (registry designs plus the harness's shared mutant suites), so a
-   worker process reconstructs exactly the coordinator's key space. *)
-let dist_solver ~arg key =
-  let table =
-    match Hashtbl.find_opt dist_tables arg with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 64 in
-        List.iter
-          (fun name ->
-            let e = Registry.find name in
-            let bound = e.Entry.rec_bound in
-            List.iter
-              (fun d ->
-                Hashtbl.replace t
-                  (Checks.campaign_key Checks.Gqed d e.Entry.iface ~bound)
-                  (d, e.Entry.iface, bound))
-              (e.Entry.design :: List.map snd (mutant_suite e)))
-          (String.split_on_char ',' arg);
-        Hashtbl.add dist_tables arg t;
-        t
-  in
-  match Hashtbl.find_opt table key with
-  | None -> failwith ("bench dist worker: unknown cell key " ^ key)
-  | Some (d, iface, bound) ->
-      let r = Checks.run Checks.Gqed d iface ~bound in
-      (Checks.report_decided r, Checks.encode_report r)
-
-let () = Dist.register "bench-campaign" dist_solver
-
-(* A lane's verdict matrix keyed by cell. Payload bytes embed wall-clock
-   solver stats, so lane equality is over decoded verdicts, exactly what
-   the tables print. *)
-let dist_matrix rows =
-  List.map
-    (fun r ->
-      ( r.Dist.r_key,
-        if r.Dist.r_payload = "" then "<no payload>"
-        else
-          match Checks.decode_report r.Dist.r_payload with
-          | Some rep -> verdict_key rep
-          | None -> "<undecodable>" ))
-    rows
+(* lib/dist/DESIGN.md), so Matrix's solver rebuilds its key -> task      *)
+(* table from the encoded config carried in [arg] alone.                 *)
 
 let dist_block ?(workers = 0) ?(flips = 0) ?(geo = nan) ?(restarts = 0) ?(killed = false)
     ?(resume_flips = 0) ?(skipped = 0) ?(merged = 0) ?(matrix = []) cfg =
@@ -1772,18 +1692,20 @@ let dist_exp env =
       (fun f -> try Sys.remove f with Sys_error _ -> ())
       (path :: List.init 16 (Dist.worker_journal path))
   in
-  let dist_run ?kill ~workers ~journal ~arg ~resume cells =
+  let arg = campaign_arg env entries in
+  let dist_run ?kill ~workers ~journal ~resume cells =
     Dist.run ~workers ~batch:cfg.batch ~policy:cfg.policy ?kill ~resume ~force:false
-      ~journal ~solver:"bench-campaign" ~arg cells
+      ~journal ~solver:Matrix.solver ~arg (List.map snd cells)
   in
-  let run_lane ?kill ~workers ~journal ~arg ~resume cells =
-    match dist_run ?kill ~workers ~journal ~arg ~resume cells with
-    | Ok (rows, st) -> (rows, st)
+  let run_lane ?kill ~workers ~journal ~resume cells =
+    match dist_run ?kill ~workers ~journal ~resume cells with
+    | Ok (rows, st) ->
+        record_rows env rows;
+        (rows, st)
     | Error msg -> failwith ("dist: " ^ msg)
   in
-  let per_design = List.map (fun e -> (e, dist_cells e)) entries in
+  let per_design = List.map (fun e -> (e, campaign_cells [ e ])) entries in
   let all_cells = List.concat_map snd per_design in
-  let all_arg = String.concat "," (List.map (fun e -> e.Entry.name) entries) in
   (* Throughput is measured on the combined campaign, where cross-design
      parallelism exists — a single design's matrix is usually dominated
      by its one hard all-UNSAT "correct" cell, which no amount of
@@ -1795,14 +1717,14 @@ let dist_exp env =
         let j1 = tmp "serial" and jn = tmp "par" in
         let (rows1, _), t1 =
           time (fun () ->
-              run_lane ~workers:1 ~journal:j1 ~arg:all_arg ~resume:false all_cells)
+              run_lane ~workers:1 ~journal:j1 ~resume:false all_cells)
         in
         let (rowsn, stn), tn =
-          time (fun () -> run_lane ~workers ~journal:jn ~arg:all_arg ~resume:false all_cells)
+          time (fun () -> run_lane ~workers ~journal:jn ~resume:false all_cells)
         in
         sweep j1;
         sweep jn;
-        let flips = R.lane_flips (dist_matrix rows1) (dist_matrix rowsn) in
+        let flips = R.lane_flips (lane_matrix all_cells rows1) (lane_matrix all_cells rowsn) in
         Printf.printf
           "trial %d: %d cells — serial %.3fs, %d workers %.3fs (%s), %d flip(s)%s\n%!" trial
           (List.length all_cells) t1 workers tn
@@ -1818,27 +1740,26 @@ let dist_exp env =
      perturbed by which lane happened to co-schedule a sibling design. *)
   Printf.printf "\n%-12s %6s %14s %14s %6s\n" "design" "cells" "serial-sum(s)"
     "dist-sum(s)" "flips";
-  let slice rows cells =
-    let keys = List.map (fun c -> c.Dist.cell_key) cells in
-    List.filter (fun r -> List.mem r.Dist.r_key keys) rows
-  in
   let matrix =
     List.map
       (fun (e, cells) ->
-        let s1 = slice serial_rows cells and sn = slice dist_rows cells in
-        let sum rows = List.fold_left (fun a r -> a +. r.Dist.r_seconds) 0.0 rows in
+        let sum rows =
+          List.fold_left (fun a c -> a +. (find_row rows c).Dist.r_seconds) 0.0 cells
+        in
         (* already counted by the trial's flips *)
-        let flips = R.lane_flips (dist_matrix s1) (dist_matrix sn) in
+        let flips =
+          R.lane_flips (lane_matrix cells serial_rows) (lane_matrix cells dist_rows)
+        in
         let n = List.length cells in
-        Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum s1) (sum sn)
-          flips;
+        Printf.printf "%-12s %6d %14.3f %14.3f %6d\n%!" e.Entry.name n (sum serial_rows)
+          (sum dist_rows) flips;
         R.(
           Row
             [
               ("design", Str e.Entry.name);
               ("cells", Int n);
-              ("serial_task_s", Num (3, sum s1));
-              ("dist_task_s", Num (3, sum sn));
+              ("serial_task_s", Num (3, sum serial_rows));
+              ("dist_task_s", Num (3, sum dist_rows));
               ("flips", Int flips);
             ]))
       per_design
@@ -1869,7 +1790,7 @@ let dist_exp env =
      mid-campaign (`Abort also downs its siblings, the hard variant),
      then resume — leftover shards merge first, journaled Unknowns
      re-solve, and the matrix must match the serial reference. *)
-  let reference = dist_matrix serial_rows in
+  let reference = lane_matrix all_cells serial_rows in
   let jk = tmp "kill" in
   let rand = Random.State.make [| 0xd157; cfg.seed |] in
   let kill =
@@ -1883,11 +1804,11 @@ let dist_exp env =
      the kill point, which is still fine. *)
   let killed =
     Result.is_error
-      (dist_run ~kill ~workers ~journal:jk ~arg:all_arg ~resume:false all_cells)
+      (dist_run ~kill ~workers ~journal:jk ~resume:false all_cells)
   in
-  let rows_r, st_r = run_lane ~workers ~journal:jk ~arg:all_arg ~resume:true all_cells in
+  let rows_r, st_r = run_lane ~workers ~journal:jk ~resume:true all_cells in
   sweep jk;
-  let resume_flips = R.lane_flips reference (dist_matrix rows_r) in
+  let resume_flips = R.lane_flips reference (lane_matrix all_cells rows_r) in
   Printf.printf
     "kill/resume lane: worker %d SIGKILLed after %d ack(s)%s; resume merged %d \
      shard record(s), skipped %d, %d flip(s) vs serial%s\n"
@@ -1905,12 +1826,10 @@ let dist_exp env =
         let rows, st =
           run_lane
             ~kill:{ Dist.k_worker = 0; k_after = 1; k_mode = `Restart }
-            ~workers ~journal:jr ~arg:e.Entry.name ~resume:false cells
+            ~workers ~journal:jr ~resume:false cells
         in
         sweep jr;
-        let flips =
-          R.lane_flips (dist_matrix (slice serial_rows cells)) (dist_matrix rows)
-        in
+        let flips = R.lane_flips (lane_matrix cells serial_rows) (lane_matrix cells rows) in
         Printf.printf
           "restart lane (%s): worker 0 SIGKILLed after 1 ack, %d supervised \
            restart(s), %d give-up(s), %d flip(s)%s\n"
@@ -1962,22 +1881,10 @@ let report env runs =
       default runs
   in
   let tm = Unix.localtime (Unix.gettimeofday ()) in
-  let campaign =
-    match block "campaign" (R.Obj (campaign_members ())) with
-    | R.Obj members ->
-        (* The --checkpoint journal is the whole run's, whichever
-           experiments' checks it served. *)
-        R.Obj
-          (( "checkpoint",
-             match env.cfg.checkpoint with None -> R.Null | Some p -> R.Str p )
-          :: ("checkpoint_skips", R.Int (Atomic.get env.tally.skips))
-          :: members)
-    | j -> j
-  in
   R.(
     Obj
       [
-        ("schema", Str "gqed-bench/9");
+        ("schema", Str "gqed-bench/10");
         ( "date",
           Str
             (Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -1996,7 +1903,7 @@ let report env runs =
         ("simplify", block "simplify" (simplify_block ()));
         ("robustness", block "robustness" (robustness_block ()));
         ("portfolio", block "portfolio" (portfolio_block env.cfg));
-        ("campaign", campaign);
+        ("campaign", block "campaign" (Obj (campaign_members ())));
         ("dist", block "dist" (dist_block env.cfg));
       ])
 
@@ -2011,7 +1918,7 @@ let parse_args () =
   let max_restarts = ref d.Dist.max_restarts in
   let backoff = ref d.Dist.backoff_s and retry_oom = ref true in
   let designs = ref None and seed = ref 0 in
-  let checkpoint = ref None and resume = ref false and force = ref false in
+  let force = ref false in
   let json = ref None and trace = ref None and metrics = ref None in
   let trace_format = ref `Ndjson in
   let ids = ref [] in
@@ -2070,9 +1977,7 @@ let parse_args () =
         (fun _ -> true)
         "ndjson or chrome" (( := ) trace_format) "--trace-format"
         "FMT trace file format: ndjson (default) or chrome";
-      ("--force", Arg.Set force, " overwrite existing report, trace and journal files");
-      path checkpoint "--checkpoint" "FILE journal every check's verdict";
-      ("--resume", Arg.Set resume, " resume from the --checkpoint journal");
+      ("--force", Arg.Set force, " overwrite existing report, trace and metrics files");
       valued int_of_string_opt
         (fun _ -> true)
         "an integer" (( := ) seed) "--seed" "N seed of r2's and dist's kill points";
@@ -2080,16 +1985,16 @@ let parse_args () =
   in
   Arg.parse specs (fun id -> ids := id :: !ids)
     "usage: main.exe [FLAG...] [EXPERIMENT...]\nflags:";
-  let limits =
-    match (!timeout, !max_conflicts) with
-    | None, None -> Bmc.no_limits
-    | t, c -> Bmc.limits ~budget:(Sat.Solver.budget ?conflicts:c ?seconds:t ()) ()
-  in
   ( {
       jobs = !jobs;
       pipeline = !pipeline;
-      limits;
-      escalate = !escalate;
+      solve =
+        {
+          (Matrix.default Checks.Gqed) with
+          timeout = !timeout;
+          max_conflicts = !max_conflicts;
+          escalate = !escalate;
+        };
       portfolio = !portfolio;
       share = !share;
       workers = !workers;
@@ -2103,8 +2008,6 @@ let parse_args () =
         };
       designs = !designs;
       seed = !seed;
-      checkpoint = !checkpoint;
-      resume = !resume;
       force = !force;
       json = !json;
       trace = !trace;
@@ -2139,22 +2042,6 @@ let () =
                 exit 2)))
     [ ("--json", cfg.json); ("--trace", cfg.trace); ("--metrics", cfg.metrics) ];
   if cfg.trace <> None || cfg.metrics <> None then Obs.enable ();
-  (* The journal has its own guard (inside Campaign.start): an existing
-     file needs --resume to continue or --force to start over, and
-     --resume without a journal is an error, not a silent cold start. *)
-  let campaign =
-    match (cfg.checkpoint, cfg.resume) with
-    | None, true ->
-        prerr_endline "bench: --resume requires --checkpoint FILE";
-        exit 2
-    | None, false -> None
-    | Some path, resume -> (
-        match Persist.Campaign.start ~resume ~force:cfg.force path with
-        | Ok c -> Some c
-        | Error msg ->
-            prerr_endline ("bench: " ^ msg);
-            exit 2)
-  in
   List.iter
     (fun id ->
       if not (List.mem_assoc id experiments) then begin
@@ -2163,10 +2050,8 @@ let () =
         exit 2
       end)
     requested;
-  let tally =
-    { unknown = Atomic.make 0; escalations = Atomic.make 0; skips = Atomic.make 0 }
-  in
-  let rec env = { cfg; tally; campaign; t2 = lazy (t2_compute env) } in
+  let tally = { unknown = Atomic.make 0; escalations = Atomic.make 0 } in
+  let rec env = { cfg; tally; t2 = lazy (t2_compute env) } in
   Printf.printf "G-QED reproduction harness — %d experiment(s), %d job(s)\n"
     (List.length requested) cfg.jobs;
   let runs =
@@ -2188,25 +2073,6 @@ let () =
   | Some path ->
       Obs.Metrics.write path (Obs.Metrics.snapshot ());
       Printf.printf "metrics written to %s\n" path);
-  (match campaign with
-  | None -> ()
-  | Some c ->
-      let s = Persist.Campaign.stats c in
-      Printf.printf
-        "campaign journal %s: %d record(s) loaded (%d undecided), %d check(s) skipped, \
-         %d appended%s%s\n"
-        (Persist.Campaign.path c) s.Persist.Campaign.c_loaded
-        s.Persist.Campaign.c_undecided_loaded (Atomic.get tally.skips)
-        s.Persist.Campaign.c_appended
-        (if s.Persist.Campaign.c_recovered_bytes > 0 then
-           Printf.sprintf " (%d corrupt tail byte(s) dropped)"
-             s.Persist.Campaign.c_recovered_bytes
-         else "")
-        (if s.Persist.Campaign.c_write_errors > 0 then
-           Printf.sprintf " (%d append(s) LOST to I/O errors)"
-             s.Persist.Campaign.c_write_errors
-         else "");
-      Persist.Campaign.close c);
   (match cfg.json with
   | None -> ()
   | Some path ->

@@ -323,22 +323,6 @@ let journal_summary path (s : Persist.Campaign.stats) =
        Printf.sprintf " (%d append(s) LOST to I/O errors)" s.Persist.Campaign.c_write_errors
      else "")
 
-let start_campaign ~checkpoint ~resume ~force =
-  match checkpoint with
-  | None -> None
-  | Some path -> (
-      match Persist.Campaign.start ~resume ~force path with
-      | Error msg ->
-          prerr_endline ("gqed: " ^ msg);
-          exit 2
-      | Ok c ->
-          (* Every verdict path funnels through Stdlib.exit, so the summary
-             and the final fsync/close always happen. *)
-          at_exit (fun () ->
-              journal_summary path (Persist.Campaign.stats c);
-              Persist.Campaign.close c);
-          Some c)
-
 let portfolio_config ~portfolio ~no_share ~deterministic =
   if portfolio <= 1 then None
   else
@@ -346,173 +330,16 @@ let portfolio_config ~portfolio ~no_share ~deterministic =
       (Sat.Portfolio.config ~workers:portfolio ~share:(not no_share)
          ~deterministic ())
 
-(* Everything a check's verdict and governance depend on. A matrix run
-   hands it to its worker processes as [Dist.run]'s [arg], so it is plain
-   data, marshalled and hex-encoded: it travels in an environment
-   variable, which cannot hold NUL bytes. *)
-type solve_config = {
-  technique : Checks.technique;
-  bound_override : int option;
-  names : string list;  (** registry designs of the matrix; [] = all *)
-  simplify : Bmc.simplify_config;
-  mono : bool;
-  timeout : float option;
-  max_conflicts : int option;
-  escalate : bool;
-  portfolio : Sat.Portfolio.config option;
-}
+(* ---- matrix runs: verify --checkpoint, verify --all-mutants, campaign ---- *)
 
-let encode_config (c : solve_config) =
-  let s = Marshal.to_string c [] in
-  String.concat ""
-    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
-
-let decode_config arg : solve_config =
-  Marshal.from_string
-    (String.init (String.length arg / 2) (fun i ->
-         Char.chr (int_of_string ("0x" ^ String.sub arg (2 * i) 2))))
-    0
-
-(* One check under the configured budgets and escalation. With finite
-   budgets and a portfolio, the escalation ladder's rungs race
-   portfolio-wide instead of climbing; with unbounded budgets the first
-   attempt decides and the per-query portfolio does the work. *)
-let check ?cancel (c : solve_config) design iface ~bound =
-  let budget =
-    match (c.timeout, c.max_conflicts) with
-    | None, None -> None
-    | seconds, conflicts -> Some (Sat.Solver.budget ?conflicts ?seconds ())
+(* [Matrix.run], with the --checkpoint journal's summary on stderr. *)
+let run_matrix ~config ~workers ?batch ~policy ?sync ~checkpoint ~resume ~force tasks =
+  let rows, stats =
+    or_die
+      (Matrix.run ~config ~workers ?batch ~policy ?sync ~checkpoint ~resume ~force tasks)
   in
-  let limits =
-    match (budget, cancel, c.portfolio) with
-    | None, None, None -> Bmc.no_limits
-    | _ -> Bmc.limits ?budget ?cancel ?portfolio:c.portfolio ()
-  in
-  let simplify = c.simplify and mono = c.mono in
-  if not c.escalate then Checks.run ~simplify ~mono ~limits c.technique design iface ~bound
-  else
-    let jobs = match c.portfolio with Some p -> p.Sat.Portfolio.p_workers | None -> 1 in
-    Checks.run_escalating ~racing:(jobs > 1 && budget <> None) ~jobs ~simplify ~mono
-      ~limits c.technique design iface ~bound
-
-(* One check as the CLI runs it: a single verify or a matrix cell. Under
-   --timeout a watchdog cancels the whole check at the deadline,
-   escalation included, in whichever process solves it; without it the
-   escalation ladder could run to 64x the per-query budget. *)
-let check_cell (c : solve_config) design iface ~bound =
-  match c.timeout with
-  | None -> check c design iface ~bound
-  | Some deadline -> (
-      match
-        Par.map_governed ~jobs:1 ~deadline
-          (fun cancel () -> check ~cancel c design iface ~bound)
-          [ () ]
-      with
-      | [ (Ok report, _) ] -> report
-      | [ (Error e, _) ] -> raise e
-      | _ -> assert false)
-
-(* ---- matrix runs: verify --all-mutants and campaign ---- *)
-
-(* One task per cell: the design it belongs to, the mutation (None for
-   the unmutated design), its Dist cell, and what the solver needs to
-   re-run it. Deterministic from the config's technique, bound override
-   and design names, so a worker process rebuilds exactly this list. *)
-type task = {
-  t_design : string;
-  t_mutant : string option;
-  t_cell : Dist.cell;
-  t_rtl : Rtl.design;
-  t_iface : Qed.Iface.t;
-  t_bound : int;
-}
-
-let campaign_tasks (c : solve_config) =
-  let entries =
-    match c.names with
-    | [] -> Registry.all
-    | names ->
-        List.map
-          (fun n -> match find_design n with Ok e -> e | Error msg -> failwith msg)
-          names
-  in
-  List.concat_map
-    (fun e ->
-      let bound = Option.value c.bound_override ~default:e.Entry.rec_bound in
-      let task t_mutant d =
-        {
-          t_design = e.Entry.name;
-          t_mutant;
-          t_cell =
-            {
-              Dist.cell_key = Checks.campaign_key c.technique d e.Entry.iface ~bound;
-              cell_hint = Checks.campaign_hint d ~bound;
-            };
-          t_rtl = d;
-          t_iface = e.Entry.iface;
-          t_bound = bound;
-        }
-      in
-      task None e.Entry.design
-      :: List.map
-           (fun (m, d) -> task (Some m.Mutation.id) d)
-           (Mutation.mutants e.Entry.design))
-    entries
-
-(* Worker processes rebuild the config and the key -> task table from
-   [arg] alone. *)
-let campaign_tables : (string, solve_config * (string, task) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 4
-
-let campaign_solver ~arg key =
-  let config, table =
-    match Hashtbl.find_opt campaign_tables arg with
-    | Some ct -> ct
-    | None ->
-        let config = decode_config arg in
-        let t = Hashtbl.create 64 in
-        List.iter
-          (fun task -> Hashtbl.replace t task.t_cell.Dist.cell_key task)
-          (campaign_tasks config);
-        Hashtbl.add campaign_tables arg (config, t);
-        (config, t)
-  in
-  match Hashtbl.find_opt table key with
-  | None -> failwith ("campaign worker: unknown cell key " ^ key)
-  | Some t ->
-      let r = check_cell config t.t_rtl t.t_iface ~bound:t.t_bound in
-      (Checks.report_decided r, Checks.encode_report r)
-
-let () = Dist.register "campaign" campaign_solver
-
-(* Solve [tasks] on Dist.run: [workers] processes, or in-process at 1.
-   Without a [checkpoint] the run journals to a private temp file, not
-   fsynced, removed with its worker shards before returning. *)
-let run_matrix ~config ~workers ?batch ~policy ?(sync = true) ~checkpoint ~resume ~force
-    tasks =
-  let journal, sync, force, temp =
-    match checkpoint with
-    | Some path -> (path, sync, force, false)
-    | None -> (Filename.temp_file "gqed-matrix" ".jrnl", false, true, true)
-  in
-  let cleanup () =
-    if temp then
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (journal :: List.init workers (Dist.worker_journal journal))
-  in
-  match
-    Fun.protect ~finally:cleanup (fun () ->
-        Dist.run ~workers ?batch ~policy ~sync ~arg:(encode_config config) ~resume
-          ~force ~journal ~solver:"campaign"
-          (List.map (fun t -> t.t_cell) tasks))
-  with
-  | Error msg ->
-      prerr_endline ("gqed: " ^ msg);
-      exit 2
-  | Ok (rows, stats) ->
-      if not temp then journal_summary journal stats.Dist.d_campaign;
-      (rows, stats)
+  Option.iter (fun path -> journal_summary path stats.Dist.d_campaign) checkpoint;
+  (rows, stats)
 
 (* The one matrix printer: a row per task, then the campaign summary. A
    mutant must be detected and an unmutated design must pass. Returns
@@ -525,8 +352,8 @@ let print_matrix ~header ~label tasks (rows, stats) =
   Printf.printf "%-40s %-18s %9s\n" header "verdict" "time";
   let detected = ref 0 and undecided = ref 0 and anomalies = ref 0 in
   List.iter
-    (fun t ->
-      let r = Hashtbl.find by_key t.t_cell.Dist.cell_key in
+    (fun (t : Matrix.task) ->
+      let r = Hashtbl.find by_key t.Matrix.t_cell.Dist.cell_key in
       let report =
         if r.Dist.r_decided then Checks.decode_report r.Dist.r_payload else None
       in
@@ -689,7 +516,7 @@ let verify_cmd =
     let e = or_die (find_design name) in
     let config =
       {
-        technique;
+        (Matrix.default technique) with
         bound_override = bound;
         names = [ name ];
         simplify;
@@ -707,35 +534,38 @@ let verify_cmd =
       end;
       (* The same cells, solver and supervision as gqed campaign, minus the
          unmutated design. *)
-      let tasks = List.filter (fun t -> t.t_mutant <> None) (campaign_tasks config) in
+      let tasks =
+        List.filter (fun t -> t.Matrix.t_mutant <> None) (or_die (Matrix.tasks config))
+      in
       let detected, unknown, code =
         run_matrix ~config ~workers:jobs ~policy ~checkpoint ~resume ~force tasks
-        |> print_matrix ~header:"mutant" ~label:(fun t -> Option.get t.t_mutant) tasks
+        |> print_matrix ~header:"mutant" ~label:(fun t -> Option.get t.Matrix.t_mutant) tasks
       in
       Printf.printf "detected %d/%d mutants (%d unknown)\n" detected (List.length tasks)
         unknown;
       exit code
     end;
     let bound = Option.value bound ~default:e.Entry.rec_bound in
-    let campaign = start_campaign ~checkpoint ~resume ~force in
     let design, m = or_die (resolve_mutant e mutant) in
     (match m with
     | Some m -> Printf.printf "injected mutation: %s (%s)\n" m.Mutation.id m.Mutation.description
     | None -> ());
     let t0 = Unix.gettimeofday () in
     let report =
-      let solve () = check_cell config design e.Entry.iface ~bound in
-      match campaign with
-      | None -> solve ()
-      | Some c -> (
-          let key = Checks.campaign_key technique design e.Entry.iface ~bound in
-          match Option.bind (Persist.Campaign.find_decided c key) Checks.decode_report with
+      match checkpoint with
+      | None -> Matrix.check_cell config design e.Entry.iface ~bound
+      | Some _ -> (
+          (* A journaled single check is a one-task matrix run, in-process
+             whatever --jobs says. *)
+          let task =
+            List.find (fun t -> t.Matrix.t_mutant = mutant) (or_die (Matrix.tasks config))
+          in
+          let rows, _ = run_matrix ~config ~workers:1 ~policy ~checkpoint ~resume ~force [ task ] in
+          match Checks.decode_report (List.hd rows).Dist.r_payload with
           | Some report -> report
           | None ->
-              let report = solve () in
-              Persist.Campaign.record c ~decided:(Checks.report_decided report) ~key
-                ~payload:(Checks.encode_report report);
-              report)
+              prerr_endline "gqed: no verdict: the check raised on every attempt";
+              exit 3)
     in
     let dt = Unix.gettimeofday () -. t0 in
     report_and_exit ~name ~waveform ~vcd ~dt ~simp_stats report
@@ -810,27 +640,10 @@ let campaign_cmd =
           prerr_endline "gqed: campaign requires --checkpoint FILE (the shared journal)";
           exit 2
     in
-    let config =
-      {
-        technique;
-        bound_override = bound;
-        names;
-        simplify = Bmc.default_simplify;
-        mono = false;
-        timeout = None;
-        max_conflicts = None;
-        escalate = true;
-        portfolio = None;
-      }
-    in
-    let tasks =
-      try campaign_tasks config
-      with Failure msg ->
-        prerr_endline ("gqed: " ^ msg);
-        exit 2
-    in
-    let label t =
-      match t.t_mutant with None -> t.t_design | Some id -> t.t_design ^ ":" ^ id
+    let config = { (Matrix.default technique) with bound_override = bound; names } in
+    let tasks = or_die (Matrix.tasks config) in
+    let label (t : Matrix.task) =
+      match t.Matrix.t_mutant with None -> t.t_design | Some id -> t.t_design ^ ":" ^ id
     in
     let _, _, code =
       run_matrix ~config ~workers ~batch ~policy ~sync:(not no_sync)

@@ -353,8 +353,6 @@ module Cnf = struct
       n_clauses_plain = 0;
     }
 
-  let pg_enabled e = e.pg
-
   let ensure_capacity e n =
     if n >= Array.length e.vars then begin
       let len = max (n + 1) (2 * Array.length e.vars) in

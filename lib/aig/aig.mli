@@ -122,8 +122,6 @@ module Cnf : sig
       original constraints' input values correctly; internal node variables
       may be under-constrained, so read models through primary inputs. *)
 
-  val pg_enabled : emitter -> bool
-
   val sat_lit : emitter -> lit -> Sat.Lit.t
   (** SAT literal equisatisfiably representing the AIG literal; emits the
       supporting clauses for the node's cone if not already present. The

@@ -621,7 +621,7 @@ let run_distributed ~nw ~batch ~policy ~sync ~kill ~journal ~solver ~arg ~campai
   List.length leftovers
 
 let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
-    ?(sync = true) ?(compact_min = 512) ?kill ?(arg = "") ~resume ~force ~journal
+    ?(sync = true) ?(compact_min = 512) ?kill ?fault ?(arg = "") ~resume ~force ~journal
     ~solver cells =
   Obs.Trace.with_span "dist.run" (fun () ->
       match (lookup solver, List.find_opt (fun c -> String.contains c.cell_key '\n') cells) with
@@ -629,7 +629,7 @@ let run ?(workers = 2) ?(batch = 2) ?(policy = default_policy)
       | _, Some c -> Error (Printf.sprintf "cell key contains a newline: %S" c.cell_key)
       | Some mk, None -> (
           let solve = mk ~arg in
-          match Persist.Campaign.start ~sync ~compact_min ~resume ~force journal with
+          match Persist.Campaign.start ~sync ?fault ~compact_min ~resume ~force journal with
           | Error msg -> Error msg
           | Ok campaign ->
               let merged = ref 0 and stale = ref 0 in

@@ -161,6 +161,7 @@ val run :
   ?sync:bool ->
   ?compact_min:int ->
   ?kill:kill ->
+  ?fault:Persist.fault_hook ->
   ?arg:string ->
   resume:bool ->
   force:bool ->
@@ -189,4 +190,6 @@ val run :
     input order, plus {!stats}; [Error] if [solver] is unregistered, a
     key contains a newline, or the campaign journal cannot be opened.
 
-    [kill] is the crash-injection hook for tests — see {!type-kill}. *)
+    [kill] is the crash-injection hook for tests — see {!type-kill}. [fault]
+    is the I/O fault hook of the main journal's appends, forwarded to
+    {!Persist.Campaign.start}; like [kill], a test hook. *)

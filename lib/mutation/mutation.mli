@@ -48,7 +48,7 @@ type t = {
   description : string;
 }
 
-val enumerate : ?off_by_one_roots_only:bool -> Rtl.design -> t list
+val enumerate : Rtl.design -> t list
 (** All mutations applicable to the design, in a deterministic order. *)
 
 val apply : Rtl.design -> t -> Rtl.design option

@@ -6,9 +6,10 @@
    the merged matrix must be bit-for-bit the serial run's.
 
    Multi-worker runs re-exec the test binary itself, so every solver
-   used with [workers >= 2] is registered by name in [register_solvers]
-   (called from test_main before [Dist.worker_entry]) and rebuilds its
-   state from the [arg] string — only the [workers <= 1] in-process
+   used with [workers >= 2] is registered by name — the toy ones in
+   [register_solvers] (called from test_main before [Dist.worker_entry]),
+   the production verification solver by linking [Matrix] — and rebuilds
+   its state from the [arg] string; only the [workers <= 1] in-process
    solvers may capture test-local state. *)
 
 let tmp_path tag =
@@ -76,65 +77,21 @@ let crash_once_solve ~arg key =
 let oom_solve ~arg:_ key =
   if key = "cell-00" then raise Out_of_memory else (true, "v:" ^ key)
 
-(* Real mutant matrix over a registry design: arg is "<name>:<mutants>",
-   from which both the coordinator's cell list and the worker's
-   key->design table are rebuilt. *)
-let registry_entry name =
-  match List.find_opt (fun e -> e.Designs.Entry.name = name) Designs.Registry.all with
-  | Some e -> e
-  | None -> Alcotest.failf "no registry entry %s" name
+(* Real mutant matrices run the production solver: Matrix's registered
+   "campaign", over the tasks of one registry design. *)
+let real_tasks name =
+  let config = { (Matrix.default Qed.Checks.Gqed) with Matrix.names = [ name ] } in
+  match Matrix.tasks config with
+  | Ok tasks -> (Matrix.encode config, tasks)
+  | Error msg -> Alcotest.failf "matrix tasks: %s" msg
 
-let real_build arg =
-  let name, mutants =
-    match String.index_opt arg ':' with
-    | Some i ->
-        ( String.sub arg 0 i,
-          int_of_string (String.sub arg (i + 1) (String.length arg - i - 1)) )
-    | None -> (arg, max_int)
-  in
-  let e = registry_entry name in
-  let bound = e.Designs.Entry.rec_bound in
-  let muts = List.map snd (Mutation.mutants e.Designs.Entry.design) in
-  let muts =
-    if mutants >= List.length muts then muts
-    else List.filteri (fun i _ -> i < mutants) muts
-  in
-  let designs = e.Designs.Entry.design :: muts in
-  let by_key = Hashtbl.create 16 in
-  let cells =
-    List.map
-      (fun d ->
-        let key = Qed.Checks.campaign_key Qed.Checks.Gqed d e.Designs.Entry.iface ~bound in
-        Hashtbl.replace by_key key d;
-        { Dist.cell_key = key; cell_hint = Qed.Checks.campaign_hint d ~bound })
-      designs
-  in
-  let solve key =
-    let d = Hashtbl.find by_key key in
-    let r = Qed.Checks.run Qed.Checks.Gqed d e.Designs.Entry.iface ~bound in
-    (Qed.Checks.report_decided r, Qed.Checks.encode_report r)
-  in
-  (cells, solve)
-
-let real_solvers : (string, string -> bool * string) Hashtbl.t = Hashtbl.create 4
-
-let real_solve ~arg key =
-  let solve =
-    match Hashtbl.find_opt real_solvers arg with
-    | Some s -> s
-    | None ->
-        let _, s = real_build arg in
-        Hashtbl.add real_solvers arg s;
-        s
-  in
-  solve key
+let cells_of tasks = List.map (fun t -> t.Matrix.t_cell) tasks
 
 let register_solvers () =
   Dist.register "test-toy" toy_solve;
   Dist.register "test-toy-matrix" toy_matrix_solve;
   Dist.register "test-crash-once" crash_once_solve;
-  Dist.register "test-oom" oom_solve;
-  Dist.register "test-real" real_solve
+  Dist.register "test-oom" oom_solve
 
 (* ------------------------------------------------------------------ *)
 (* Merge semantics, on hand-crafted worker shards                      *)
@@ -471,18 +428,20 @@ let verdict_sig (r : Dist.row) =
   (r.Dist.r_key, r.Dist.r_decided, verdict)
 
 let test_real_matrix_dist_equals_serial () =
-  let arg = "hamming74:3" in
-  let cells, _ = real_build arg in
+  (* The unmutated design and its first three mutants: a key subset of
+     the solver's table, as the bench's reduced suites submit. *)
+  let arg, tasks = real_tasks "hamming74" in
+  let cells = cells_of (List.filteri (fun i _ -> i < 4) tasks) in
   let serial =
     with_tmp "real-serial" (fun path ->
         let rows, _ =
-          run_ok ~arg ~workers:1 ~resume:false ~journal:path ~solver:"test-real" cells
+          run_ok ~arg ~workers:1 ~resume:false ~journal:path ~solver:Matrix.solver cells
         in
         List.map verdict_sig rows)
   in
   with_tmp "real-dist" (fun path ->
       let rows, stats =
-        run_ok ~arg ~workers:2 ~resume:false ~journal:path ~solver:"test-real" cells
+        run_ok ~arg ~workers:2 ~resume:false ~journal:path ~solver:Matrix.solver cells
       in
       Alcotest.(check matrix) "2-worker matrix equals serial" serial
         (List.map verdict_sig rows);
@@ -493,11 +452,75 @@ let test_real_matrix_dist_equals_serial () =
 let test_real_kill_sweep_full_matrix () =
   match Sys.getenv_opt "GQED_FULL_MATRIX" with
   | Some ("1" | "true") ->
-      let arg = "hamming74" in
-      let cells, _ = real_build arg in
-      kill_sweep ~proj:verdict_sig ~arg ~cells ~solver:"test-real"
+      let arg, tasks = real_tasks "hamming74" in
+      let cells = cells_of tasks in
+      kill_sweep ~proj:verdict_sig ~arg ~cells ~solver:Matrix.solver
         ~acks:(List.length cells) ()
   | _ -> ()
+
+(* The bench's D1 submits the keys of its reduced suites (the correct
+   design plus [per_operator_limit:1] mutants) to the "campaign" solver,
+   which only knows the full [Mutation.mutants] table of each design. *)
+let test_d1_keys_resolve () =
+  let names = [ "hamming74"; "graycodec"; "seqdet"; "rle"; "maxtrack" ] in
+  let keys =
+    match Matrix.tasks { (Matrix.default Qed.Checks.Gqed) with Matrix.names } with
+    | Ok tasks -> List.map (fun t -> t.Matrix.t_cell.Dist.cell_key) tasks
+    | Error msg -> Alcotest.failf "matrix tasks: %s" msg
+  in
+  List.iter
+    (fun name ->
+      let e = Designs.Registry.find name in
+      let bound = e.Designs.Entry.rec_bound in
+      List.iter
+        (fun d ->
+          let key = Qed.Checks.campaign_key Qed.Checks.Gqed d e.Designs.Entry.iface ~bound in
+          if not (List.mem key keys) then
+            Alcotest.failf "%s: D1 cell %s missing from the campaign table" name key)
+        (e.Designs.Entry.design
+        :: List.map snd (Mutation.mutants ~per_operator_limit:1 e.Designs.Entry.design)))
+    names
+
+(* A journaled single check is a one-task [Matrix.run]: the first run
+   solves and journals it, a resume serves the same report warm — the
+   counterexample witness included, which --waveform/--vcd print. *)
+let test_one_task_run_resumes_warm () =
+  with_tmp "one-task" (fun path ->
+      let config = { (Matrix.default Qed.Checks.Gqed) with Matrix.names = [ "accum" ] } in
+      let task =
+        match Matrix.tasks config with
+        | Ok tasks -> (
+            match
+              List.find_opt
+                (fun t -> t.Matrix.t_mutant = Some "hidden_state:next(acc):0")
+                tasks
+            with
+            | Some t -> t
+            | None -> Alcotest.fail "accum mutant hidden_state:next(acc):0 missing")
+        | Error msg -> Alcotest.failf "matrix tasks: %s" msg
+      in
+      let run ~resume =
+        match
+          Matrix.run ~config ~workers:1 ~checkpoint:(Some path) ~resume ~force:false [ task ]
+        with
+        | Ok ([ r ], stats) -> (
+            match Qed.Checks.decode_report r.Dist.r_payload with
+            | Some { Qed.Checks.verdict = Qed.Checks.Fail f; _ } ->
+                (r.Dist.r_warm, stats, f.Qed.Checks.witness.Bmc.w_length)
+            | _ -> Alcotest.fail "mutant not detected")
+        | Ok (rows, _) -> Alcotest.failf "%d rows for one task" (List.length rows)
+        | Error msg -> Alcotest.failf "matrix run: %s" msg
+      in
+      let warm, stats, length = run ~resume:false in
+      Alcotest.(check bool) "first run cold" false warm;
+      Alcotest.(check int) "journaled" 1
+        stats.Dist.d_campaign.Persist.Campaign.c_appended;
+      let warm, stats, length' = run ~resume:true in
+      Alcotest.(check bool) "resume warm" true warm;
+      Alcotest.(check int) "one check skipped" 1
+        stats.Dist.d_campaign.Persist.Campaign.c_hits;
+      Alcotest.(check int) "nothing dispatched" 0 stats.Dist.d_dispatched;
+      Alcotest.(check int) "witness length intact" length length')
 
 let suite =
   [
@@ -522,4 +545,8 @@ let suite =
       test_real_matrix_dist_equals_serial;
     Alcotest.test_case "real kill sweep (full matrix)" `Slow
       test_real_kill_sweep_full_matrix;
+    Alcotest.test_case "D1 cell keys resolve in the campaign table" `Quick
+      test_d1_keys_resolve;
+    Alcotest.test_case "one-task matrix run resumes warm" `Quick
+      test_one_task_run_resumes_warm;
   ]
